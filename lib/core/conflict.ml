@@ -35,12 +35,13 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
         | None -> jittered_delay cfg.cost ~attempt
       in
       stats.Stats.backoff_cycles <- stats.Stats.backoff_cycles + delay;
-      Trace.emit ~level:Trace.Debug
-        (lazy
-          (Trace.Backoff
-             {
-               tid = (if Sched.running () then Sched.self () else -1);
-               attempt;
-               delay;
-             }));
+      if Trace.enabled_at Trace.Debug then
+        Trace.emit ~level:Trace.Debug
+          (lazy
+            (Trace.Backoff
+               {
+                 tid = (if Sched.running () then Sched.self () else -1);
+                 attempt;
+                 delay;
+               }));
       Sched.pause delay

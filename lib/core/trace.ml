@@ -74,8 +74,9 @@ let set_sink ?(level = Debug) s =
   sink := Option.map (fun deliver -> { min_level = level; deliver }) s
 
 (* The level is passed alongside the lazy payload so that filtering never
-   forces it: a sink installed at [Info] pays nothing for the per-access
-   [Debug] events the hot paths emit. *)
+   forces it. Allocating the payload is another matter: hot-path [Debug]
+   sites check [enabled_at Debug] first, so that a run with no sink, or
+   with one at [Info], builds no closure per access. *)
 let emit ?(level = Info) ev =
   match !sink with
   | Some { min_level; deliver } when level_ge level min_level ->

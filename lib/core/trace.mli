@@ -4,9 +4,11 @@
     lifecycle, conflicts, publications, quiescence waits, and — at
     [Debug] level — per-access barrier, backoff, and validation events.
     With no sink installed the emit path is a branch on [None], cheap
-    enough to leave compiled into the hot paths; with a sink installed at
-    [Info] the per-access [Debug] payloads are never forced either, so a
-    coarse trace costs nothing on the access fast paths.
+    enough to leave compiled into the hot paths. Every [Debug] emit site
+    is guarded by [if enabled_at Debug then emit ...]: without flambda a
+    [lazy] payload with free variables is a closure allocated before
+    {!emit} runs, so the guard is what keeps an untraced run, and a run
+    with a sink at [Info], from allocating on the access fast paths.
 
     The [stm_run --trace] CLI installs a printing sink; [--trace-out] and
     [--profile-barriers] install the {!Stm_obs} recorder and per-site
@@ -123,9 +125,10 @@ val set_sink : ?level:level -> (event -> unit) option -> unit
 
 val emit : ?level:level -> event Lazy.t -> unit
 (** Deliver the event to the sink if one is installed and accepts
-    [level] (default [Info]); the payload is lazy so that argument
-    construction costs nothing when the event is filtered out. Emitters
-    must pass the same level {!event_level} assigns to the payload. *)
+    [level] (default [Info]); the payload is forced only then. Emitters
+    must pass the same level {!event_level} assigns to the payload, and
+    [Debug] emitters must sit under an {!enabled_at} guard so that the
+    lazy payload is not even allocated when nobody listens. *)
 
 val enabled : unit -> bool
 

@@ -25,6 +25,23 @@ type nontxn_plan =
 
 type site_plan = { p_unlogged : bool; p_nontxn : nontxn_plan }
 
+(* A method together with what its instructions resolve to. A slot is
+   filled the first time its instruction runs and then read in O(1), so
+   a call does no method-table walk and an allocation no field-list walk:
+   - a static call's callee;
+   - a virtual call's last receiver class and its target, re-resolved
+     when the receiver class changes;
+   - a [New]'s typed initial field values.
+   Resolution depends only on the program, which is fixed for the
+   lifetime of an [exec]. *)
+type code = { meth : Ir.meth; slots : slot array  (* by pc *) }
+
+and slot =
+  | Unresolved
+  | Callee of code
+  | Receiver of { rcls : string; rcode : code }
+  | Defaults of Heap.value array
+
 type exec = {
   prog : Ir.program;
   mutable cfg : Config.t;
@@ -39,6 +56,7 @@ type exec = {
   mutable plans : site_plan array;  (* site id -> plan, per current cfg *)
   mutable plans_key : (bool * bool * Config.versioning) option;
       (* (strong, strong_writes, versioning) the plans were computed for *)
+  codes : (string * string, code) Hashtbl.t;  (* (class, method) -> code *)
 }
 
 (* Aggregated-barrier state: ownership of one object's record held across
@@ -114,6 +132,10 @@ let as_int what = function
   | Heap.Vint n -> n
   | v -> err "%s: expected int, got %s" what (Heap.show_value v)
 
+let vtrue = Heap.Vbool true
+let vfalse = Heap.Vbool false
+let of_bool b = if b then vtrue else vfalse
+
 let as_bool what = function
   | Heap.Vbool b -> b
   | v -> err "%s: expected bool, got %s" what (Heap.show_value v)
@@ -122,6 +144,74 @@ let as_obj what = function
   | Heap.Vref o -> o
   | Heap.Vnull -> err "%s: null dereference" what
   | v -> err "%s: expected object, got %s" what (Heap.show_value v)
+
+(* [as_obj] for a hot site whose message is built from a name: the
+   string is concatenated only on the failure path. *)
+let as_obj_named what name = function
+  | Heap.Vref o -> o
+  | v -> as_obj (what ^ name) v
+
+let zero_value = function
+  | Ir.Tint -> Heap.Vint 0
+  | Ir.Tbool -> Heap.Vbool false
+  | Ir.Tstr -> Heap.Vstr ""
+  | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull
+
+(* ------------------------------------------------------------------ *)
+(* Call and field resolution                                           *)
+(* ------------------------------------------------------------------ *)
+
+let code_of ex (m : Ir.meth) =
+  let key = (m.Ir.mcls, m.Ir.mname) in
+  match Hashtbl.find_opt ex.codes key with
+  | Some c -> c
+  | None ->
+      let c = { meth = m; slots = Array.make (Array.length m.Ir.body) Unresolved } in
+      Hashtbl.replace ex.codes key c;
+      c
+
+let static_callee ex code pc cls mname =
+  match code.slots.(pc) with
+  | Callee c -> c
+  | Unresolved | Receiver _ | Defaults _ -> (
+      match Ir.find_method ex.prog cls mname with
+      | Some m ->
+          let c = code_of ex m in
+          code.slots.(pc) <- Callee c;
+          c
+      | None -> err "unknown method %s::%s" cls mname)
+
+let virtual_callee ex code pc mname recv =
+  let o = as_obj_named "call " mname recv in
+  match code.slots.(pc) with
+  | Receiver { rcls; rcode } when String.equal rcls o.Heap.cls -> rcode
+  | Unresolved | Callee _ | Receiver _ | Defaults _ ->
+      let c = code_of ex (Ir.resolve_virtual ex.prog o.Heap.cls mname) in
+      code.slots.(pc) <- Receiver { rcls = o.Heap.cls; rcode = c };
+      c
+
+let instance_defaults ex code pc cls =
+  match code.slots.(pc) with
+  | Defaults d -> d
+  | Unresolved | Callee _ | Receiver _ ->
+      let d =
+        Ir.instance_fields ex.prog cls
+        |> List.map (fun (f : Ir.field) -> zero_value f.Ir.fty)
+        |> Array.of_list
+      in
+      code.slots.(pc) <- Defaults d;
+      d
+
+let new_frame (m : Ir.meth) =
+  { regs = Array.make (max m.Ir.nregs 1) Heap.Vnull; agg = None }
+
+(* Evaluate [args] in the caller's frame straight into the callee's
+   registers from [i] on. *)
+let rec bind_args regs caller i = function
+  | [] -> ()
+  | a :: tl ->
+      regs.(i) <- eval caller a;
+      bind_args regs caller (i + 1) tl
 
 (* ------------------------------------------------------------------ *)
 (* Barrier-annotated memory access                                     *)
@@ -219,7 +309,7 @@ let rec ensure_initialized ex cls =
     Hashtbl.replace ex.initialized cls ();
     match Ir.find_method ex.prog cls "clinit" with
     | Some m when m.Ir.m_static && m.Ir.params = [] ->
-        ignore (call ex m None [] : Heap.value option)
+        ignore (invoke ex (code_of ex m) (new_frame m) : Heap.value option)
     | Some _ | None -> ()
   end
 
@@ -231,7 +321,9 @@ and builtin ex name (args : Heap.value list) : Heap.value =
       let m = Ir.resolve_virtual ex.prog o.Heap.cls "run" in
       let tid =
         Sched.spawn ~name:(o.Heap.cls ^ ".run") (fun () ->
-            ignore (call ex m (Some (Heap.Vref o)) [] : Heap.value option))
+            let frame = new_frame m in
+            frame.regs.(0) <- Heap.Vref o;
+            ignore (invoke ex (code_of ex m) frame : Heap.value option))
       in
       Heap.Vint tid
   | "join", [ v ] ->
@@ -272,39 +364,55 @@ and builtin ex name (args : Heap.value list) : Heap.value =
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The right integer operand is checked first, so when both are
+   ill-typed the error names the right one. No closure is built per
+   operation, and booleans are two shared values. *)
 and exec_binop op a b =
-  let ib f = Heap.Vint (f (as_int "binop" a) (as_int "binop" b)) in
-  let cmp f = Heap.Vbool (f (as_int "binop" a) (as_int "binop" b)) in
   match op with
-  | Ir.Add -> ib ( + )
-  | Ir.Sub -> ib ( - )
-  | Ir.Mul -> ib ( * )
   | Ir.Div ->
       let d = as_int "div" b in
       if d = 0 then err "division by zero" else Heap.Vint (as_int "div" a / d)
   | Ir.Mod ->
       let d = as_int "mod" b in
       if d = 0 then err "modulo by zero" else Heap.Vint (as_int "mod" a mod d)
-  | Ir.Lt -> cmp ( < )
-  | Ir.Le -> cmp ( <= )
-  | Ir.Gt -> cmp ( > )
-  | Ir.Ge -> cmp ( >= )
-  | Ir.Eq -> Heap.Vbool (Heap.value_equal a b)
-  | Ir.Ne -> Heap.Vbool (not (Heap.value_equal a b))
-  | Ir.And -> Heap.Vbool (as_bool "&&" a && as_bool "&&" b)
-  | Ir.Or -> Heap.Vbool (as_bool "||" a || as_bool "||" b)
+  | Ir.Eq -> of_bool (Heap.value_equal a b)
+  | Ir.Ne -> of_bool (not (Heap.value_equal a b))
+  | Ir.And -> of_bool (as_bool "&&" a && as_bool "&&" b)
+  | Ir.Or -> of_bool (as_bool "||" a || as_bool "||" b)
+  | Ir.Add ->
+      let y = as_int "binop" b in
+      Heap.Vint (as_int "binop" a + y)
+  | Ir.Sub ->
+      let y = as_int "binop" b in
+      Heap.Vint (as_int "binop" a - y)
+  | Ir.Mul ->
+      let y = as_int "binop" b in
+      Heap.Vint (as_int "binop" a * y)
+  | Ir.Lt ->
+      let y = as_int "binop" b in
+      of_bool (as_int "binop" a < y)
+  | Ir.Le ->
+      let y = as_int "binop" b in
+      of_bool (as_int "binop" a <= y)
+  | Ir.Gt ->
+      let y = as_int "binop" b in
+      of_bool (as_int "binop" a > y)
+  | Ir.Ge ->
+      let y = as_int "binop" b in
+      of_bool (as_int "binop" a >= y)
 
 (* Execute instructions from [pc] until [Ret] (returns its value) or until
    [stop_at] (exclusive; returns None). *)
-and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
+and exec_range ex code frame ~pc ~stop_at : Heap.value option option =
   let cost = ex.cfg.cost in
+  let body = code.meth.Ir.body in
   let pc = ref pc in
   let result = ref None in
   let finished = ref false in
   while not !finished do
     if !pc = stop_at then finished := true
     else begin
-      let ins = m.Ir.body.(!pc) in
+      let ins = body.(!pc) in
       Sched.tick cost.Cost.alu;
       ex.instrs <- ex.instrs + 1;
       incr pc;
@@ -314,41 +422,28 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
       | Ir.Unop (d, Ir.Neg, s) ->
           frame.regs.(d) <- Heap.Vint (-as_int "neg" (eval frame s))
       | Ir.Unop (d, Ir.Not, s) ->
-          frame.regs.(d) <- Heap.Vbool (not (as_bool "not" (eval frame s)))
+          frame.regs.(d) <- of_bool (not (as_bool "not" (eval frame s)))
       | Ir.Binop (d, op, a, b) ->
           frame.regs.(d) <- exec_binop op (eval frame a) (eval frame b)
       | Ir.New { dst; cls; site = _ } ->
           ensure_initialized ex cls;
-          let fields = Ir.instance_fields ex.prog cls in
-          let o = Stm.alloc ~cls (List.length fields) in
+          let defaults = instance_defaults ex code (!pc - 1) cls in
+          let o = Stm.alloc ~cls (Array.length defaults) in
           (* typed default values; the object is thread-local at birth so
              raw stores are race-free *)
-          List.iteri
-            (fun i (f : Ir.field) ->
-              Heap.set o i
-                (match f.Ir.fty with
-                | Ir.Tint -> Heap.Vint 0
-                | Ir.Tbool -> Heap.Vbool false
-                | Ir.Tstr -> Heap.Vstr ""
-                | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull))
-            fields;
+          for i = 0 to Array.length defaults - 1 do
+            Heap.set o i defaults.(i)
+          done;
           frame.regs.(dst) <- Heap.Vref o
       | Ir.NewArr { dst; elt; len; site = _ } ->
           let n = as_int "new[]" (eval frame len) in
           if n < 0 then err "negative array length";
-          let init =
-            match elt with
-            | Ir.Tint -> Heap.Vint 0
-            | Ir.Tbool -> Heap.Vbool false
-            | Ir.Tstr -> Heap.Vstr ""
-            | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull
-          in
-          frame.regs.(dst) <- Heap.Vref (Stm.alloc_array n init)
+          frame.regs.(dst) <- Heap.Vref (Stm.alloc_array n (zero_value elt))
       | Ir.Load { dst; obj; fld; fidx; note; _ } ->
-          let o = as_obj ("load ." ^ fld) (eval frame obj) in
+          let o = as_obj_named "load ." fld (eval frame obj) in
           frame.regs.(dst) <- load ex frame note o fidx
       | Ir.Store { obj; fld; fidx; src; note; _ } ->
-          let o = as_obj ("store ." ^ fld) (eval frame obj) in
+          let o = as_obj_named "store ." fld (eval frame obj) in
           store ex frame note o fidx (eval frame src)
       | Ir.LoadS { dst; cls; fidx; note; _ } ->
           ensure_initialized ex cls;
@@ -375,19 +470,23 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
           frame.regs.(d) <- Heap.Vint (Heap.nfields o)
       | Ir.Call { dst; target; this; args } ->
           Sched.tick cost.Cost.call;
-          let thisv = Option.map (eval frame) this in
-          let argv = List.map (eval frame) args in
-          let meth =
+          let callee =
             match target with
-            | Ir.Static (c, mname) -> (
-                match Ir.find_method ex.prog c mname with
-                | Some mm -> mm
-                | None -> err "unknown method %s::%s" c mname)
+            | Ir.Static (c, mname) -> static_callee ex code (!pc - 1) c mname
             | Ir.Virtual (_, mname) ->
-                let o = as_obj ("call " ^ mname) (Option.get thisv) in
-                Ir.resolve_virtual ex.prog o.Heap.cls mname
+                virtual_callee ex code (!pc - 1) mname
+                  (eval frame (Option.get this))
           in
-          let rv = call ex meth thisv argv in
+          let callee_frame = new_frame callee.meth in
+          let base =
+            match this with
+            | Some r ->
+                callee_frame.regs.(0) <- eval frame r;
+                1
+            | None -> 0
+          in
+          bind_args callee_frame.regs frame base args;
+          let rv = invoke ex callee callee_frame in
           (match (dst, rv) with
           | Some d, Some v -> frame.regs.(d) <- v
           | Some d, None -> frame.regs.(d) <- Heap.Vnull
@@ -395,19 +494,19 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
       | Ir.Builtin { dst; name; args } ->
           let argv = List.map (eval frame) args in
           let v = builtin ex name argv in
-          Option.iter (fun d -> frame.regs.(d) <- v) dst
+          (match dst with Some d -> frame.regs.(d) <- v | None -> ())
       | Ir.If (c, target) ->
           if as_bool "if" (eval frame c) then pc := target
       | Ir.Goto target -> pc := target
       | Ir.Ret v ->
-          result := Some (Option.map (eval frame) v);
+          result := Some (match v with Some r -> Some (eval frame r) | None -> None);
           finished := true
       | Ir.AtomicBegin end_pc ->
           let body_start = !pc in
           let saved = Array.copy frame.regs in
           Stm.atomic (fun () ->
               Array.blit saved 0 frame.regs 0 (Array.length saved);
-              match exec_range ex m frame ~pc:body_start ~stop_at:end_pc with
+              match exec_range ex code frame ~pc:body_start ~stop_at:end_pc with
               | None -> ()
               | Some _ -> err "return out of atomic block"
               | exception Interp_error _ when not (Stm.valid ()) ->
@@ -428,13 +527,11 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
   done;
   !result
 
-and call ex (m : Ir.meth) this args : Heap.value option =
-  let frame = { regs = Array.make (max m.Ir.nregs 1) Heap.Vnull; agg = None } in
-  let base = match this with Some v -> frame.regs.(0) <- v; 1 | None -> 0 in
-  List.iteri (fun i v -> frame.regs.(base + i) <- v) args;
-  match exec_range ex m frame ~pc:0 ~stop_at:(-1) with
+(* Run a method on a frame whose receiver and arguments are bound. *)
+and invoke ex code frame : Heap.value option =
+  match exec_range ex code frame ~pc:0 ~stop_at:(-1) with
   | Some rv -> rv
-  | None -> err "method %s::%s fell off the end" m.Ir.mcls m.Ir.mname
+  | None -> err "method %s::%s fell off the end" code.meth.Ir.mcls code.meth.Ir.mname
 
 (* ------------------------------------------------------------------ *)
 (* Program startup                                                     *)
@@ -450,13 +547,7 @@ let init_statics ex =
           (fun i (f : Ir.field) ->
             match f.Ir.f_init with
             | Some c -> Heap.set o i (value_of_const c)
-            | None ->
-                Heap.set o i
-                  (match f.Ir.fty with
-                  | Ir.Tint -> Heap.Vint 0
-                  | Ir.Tbool -> Heap.Vbool false
-                  | Ir.Tstr -> Heap.Vstr ""
-                  | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull))
+            | None -> Heap.set o i (zero_value f.Ir.fty))
           sfields;
         Hashtbl.replace ex.statics cname o
       end)
@@ -476,6 +567,7 @@ let make_exec ?(params = []) ?(profile = false) ~cfg prog =
     profile = (if profile then Some (Hashtbl.create 64) else None);
     plans = [||];
     plans_key = None;
+    codes = Hashtbl.create 64;
   }
 
 let exec_main ex =
@@ -488,7 +580,7 @@ let exec_main ex =
   in
   (* the main class initializes first, as if the VM loaded it *)
   ensure_initialized ex ex.prog.Ir.main_class;
-  ignore (call ex m None [] : Heap.value option)
+  ignore (invoke ex (code_of ex m) (new_frame m) : Heap.value option)
 
 let explorer_instance ?params prog =
   let ex = make_exec ?params ~cfg:Config.base prog in

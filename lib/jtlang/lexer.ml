@@ -8,16 +8,64 @@ type token =
   | PUNCT of string  (* operators and punctuation *)
   | EOF
 
-type t = { name : string; toks : (token * int) array; mutable pos : int }
+(* The token stream as a list cursor. A list, not an array: the tokens
+   then stay on the minor heap and die there once parsed, whereas
+   filling a large (major-heap) array with them would make every token
+   a remembered-set entry that the next minor collection promotes. *)
+type t = {
+  name : string;
+  mutable rest : (token * int) list;  (* (token, line); ends with EOF *)
+}
 
 exception Error of string * int
 
-let keywords =
-  [
-    "class"; "extends"; "static"; "final"; "volatile"; "void"; "int"; "bool";
-    "str"; "if"; "else"; "while"; "for"; "return"; "atomic"; "synchronized";
-    "new"; "null"; "true"; "false"; "this";
-  ]
+(* A [match] on string literals compiles to word comparisons: no
+   [compare] call per keyword for every identifier. *)
+let is_keyword = function
+  | "class" | "extends" | "static" | "final" | "volatile" | "void" | "int"
+  | "bool" | "str" | "if" | "else" | "while" | "for" | "return" | "atomic"
+  | "synchronized" | "new" | "null" | "true" | "false" | "this" ->
+      true
+  | _ -> false
+
+(* Operators and punctuation, longest match first. The token strings
+   are shared literals, so recognising one allocates nothing. *)
+let punct2 c c2 =
+  match (c, c2) with
+  | '=', '=' -> Some "=="
+  | '!', '=' -> Some "!="
+  | '<', '=' -> Some "<="
+  | '>', '=' -> Some ">="
+  | '&', '&' -> Some "&&"
+  | '|', '|' -> Some "||"
+  | '+', '=' -> Some "+="
+  | '-', '=' -> Some "-="
+  | '*', '=' -> Some "*="
+  | '/', '=' -> Some "/="
+  | '+', '+' -> Some "++"
+  | '-', '-' -> Some "--"
+  | _ -> None
+
+let punct1 = function
+  | '{' -> Some "{"
+  | '}' -> Some "}"
+  | '(' -> Some "("
+  | ')' -> Some ")"
+  | '[' -> Some "["
+  | ']' -> Some "]"
+  | ';' -> Some ";"
+  | ',' -> Some ","
+  | '.' -> Some "."
+  | '+' -> Some "+"
+  | '-' -> Some "-"
+  | '*' -> Some "*"
+  | '/' -> Some "/"
+  | '%' -> Some "%"
+  | '<' -> Some "<"
+  | '>' -> Some ">"
+  | '=' -> Some "="
+  | '!' -> Some "!"
+  | _ -> None
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -61,7 +109,7 @@ let tokenize name src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let s = String.sub src start (!i - start) in
-      if List.mem s keywords then push (KW s) else push (IDENT s)
+      if is_keyword s then push (KW s) else push (IDENT s)
     end
     else if c = '"' then begin
       incr i;
@@ -84,29 +132,29 @@ let tokenize name src =
       push (STR (Buffer.contents b))
     end
     else begin
-      let two =
-        if !i + 1 < n then Some (String.sub src !i 2) else None
-      in
-      match two with
-      | Some (("=="|"!="|"<="|">="|"&&"|"||"|"+="|"-="|"*="|"/="|"++"|"--") as op) ->
+      let c2 = if !i + 1 < n then src.[!i + 1] else '\000' in
+      match punct2 c c2 with
+      | Some op ->
           push (PUNCT op);
           i := !i + 2
-      | _ -> (
-          match c with
-          | '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '+' | '-'
-          | '*' | '/' | '%' | '<' | '>' | '=' | '!' ->
-              push (PUNCT (String.make 1 c));
+      | None -> (
+          match punct1 c with
+          | Some p ->
+              push (PUNCT p);
               incr i
-          | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, !line)))
+          | None -> raise (Error (Printf.sprintf "unexpected character %C" c, !line)))
     end
   done;
   push EOF;
-  { name; toks = Array.of_list (List.rev !toks); pos = 0 }
+  { name; rest = List.rev !toks }
 
-let peek lx = fst lx.toks.(lx.pos)
-let peek2 lx = if lx.pos + 1 < Array.length lx.toks then fst lx.toks.(lx.pos + 1) else EOF
-let line lx = snd lx.toks.(lx.pos)
-let advance lx = if lx.pos < Array.length lx.toks - 1 then lx.pos <- lx.pos + 1
+let peek lx = match lx.rest with (tok, _) :: _ -> tok | [] -> EOF
+let peek2 lx = match lx.rest with _ :: (tok, _) :: _ -> tok | _ -> EOF
+let peek3 lx = match lx.rest with _ :: _ :: (tok, _) :: _ -> tok | _ -> EOF
+let line lx = match lx.rest with (_, l) :: _ -> l | [] -> 0
+
+(* The cursor stops at EOF. *)
+let advance lx = match lx.rest with _ :: (_ :: _ as tl) -> lx.rest <- tl | _ -> ()
 
 let describe = function
   | INT n -> string_of_int n

@@ -69,8 +69,7 @@ let at_decl lx =
       | Lexer.IDENT _ -> true
       | Lexer.PUNCT "[" ->
           (* Ident [ ] id  vs  Ident [ expr ] =  : look one more ahead *)
-          lx.Lexer.pos + 2 < Array.length lx.Lexer.toks
-          && fst lx.Lexer.toks.(lx.Lexer.pos + 2) = Lexer.PUNCT "]"
+          Lexer.peek3 lx = Lexer.PUNCT "]"
       | _ -> false)
   | _ -> false
 

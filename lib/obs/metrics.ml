@@ -21,9 +21,19 @@ type t = {
   commit_latency : Hist.t;
   abort_latency : Hist.t;
   fairness : Stm_cm.Fairness.t;
-  alloc_base : float;  (* Gc.allocated_bytes at creation *)
+  alloc_base : float;  (* [host_words ()] at creation *)
   mutable alloc_frozen : float option;  (* words, fixed by snapshot *)
 }
+
+(* Words allocated by this domain so far: everything allocated on the
+   minor heap plus what was allocated directly on the major heap. On
+   OCaml 5.1 [Gc.allocated_bytes] can be off by a whole minor heap;
+   [Gc.minor_words] is exact, and [Gc.counters]'s major words minus its
+   promoted words is exactly the direct major allocation. *)
+let host_words () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  minor +. (major -. promoted)
 
 let cause_index = function
   | Trace.Cause_conflict -> 0
@@ -64,21 +74,16 @@ let create () =
     commit_latency = Hist.create ();
     abort_latency = Hist.create ();
     fairness = Stm_cm.Fairness.create ();
-    alloc_base = Gc.allocated_bytes ();
+    alloc_base = host_words ();
     alloc_frozen = None;
   }
 
 (* Host-process words allocated over this metrics object's window: from
-   creation until now (live object) or until the snapshot was taken.
-   [Gc.allocated_bytes] reads the young pointer, so allocations still in
-   the current minor chunk are included. *)
-let alloc_bytes_so_far t =
-  match t.alloc_frozen with
-  | Some b -> b
-  | None -> Gc.allocated_bytes () -. t.alloc_base
-
+   creation until now (live object) or until the snapshot was taken. *)
 let host_alloc_words t =
-  alloc_bytes_so_far t /. float_of_int (Sys.word_size / 8)
+  match t.alloc_frozen with
+  | Some w -> w
+  | None -> host_words () -. t.alloc_base
 
 let handle t (ev : Trace.event) =
   match ev with
@@ -113,7 +118,7 @@ let snapshot t =
     commit_latency = Hist.copy t.commit_latency;
     abort_latency = Hist.copy t.abort_latency;
     fairness = Stm_cm.Fairness.copy t.fairness;
-    alloc_frozen = Some (alloc_bytes_so_far t);
+    alloc_frozen = Some (host_alloc_words t);
   }
 
 let diff later earlier =
@@ -136,7 +141,7 @@ let diff later earlier =
     abort_latency = Hist.sub later.abort_latency earlier.abort_latency;
     fairness = Stm_cm.Fairness.sub later.fairness earlier.fairness;
     alloc_base = 0.;
-    alloc_frozen = Some (alloc_bytes_so_far later -. alloc_bytes_so_far earlier);
+    alloc_frozen = Some (host_alloc_words later -. host_alloc_words earlier);
   }
 
 let begins t = t.begins

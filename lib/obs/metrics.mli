@@ -47,6 +47,11 @@ val abort_latency : t -> Hist.t
 
 val to_assoc : t -> (string * int) list
 
+val host_words : unit -> float
+(** Words this domain has allocated so far, minor and direct-major
+    alike. Exact, unlike [Gc.allocated_bytes], which on OCaml 5.1 can be
+    off by a whole minor heap. *)
+
 val host_alloc_words : t -> float
 (** Host-process (OCaml GC) words allocated over this object's window:
     creation to now for a live object, creation to {!snapshot} for a

@@ -248,15 +248,17 @@ let bench_names = List.map fst (bodies Stm_core.Config.Eager)
 (* ------------------------------------------------------------------ *)
 
 (* Words allocated by one invocation, after one warm-up call so one-time
-   setup is excluded. [Gc.allocated_bytes] reads the young pointer, so
-   allocations still sitting in the current minor chunk are counted
-   (unlike [Gc.quick_stat]). *)
+   setup is excluded; what a counter reading itself allocates is
+   measured and subtracted. *)
 let alloc_words_of f =
+  let words = Stm_obs.Metrics.host_words in
   f ();
-  let b0 = Gc.allocated_bytes () in
+  let r0 = words () in
+  let r1 = words () in
+  let w0 = words () in
   f ();
-  let b1 = Gc.allocated_bytes () in
-  (b1 -. b0) /. float_of_int (Sys.word_size / 8)
+  let w1 = words () in
+  w1 -. w0 -. (r1 -. r0)
 
 let group_name = "perf"
 

@@ -25,6 +25,13 @@ type report = {
   samples : sample list;  (** sorted by name *)
 }
 
+val alloc_words_of : (unit -> unit) -> float
+(** Words one call of [f] allocates, minor and direct-major alike, after
+    a warm-up call. Exact: it counts [Gc.minor_words] plus the words
+    allocated directly on the major heap, not [Gc.allocated_bytes],
+    which on OCaml 5.1 can be off by a whole minor heap. This is the
+    [alloc_words_per_op] of every {!sample}. *)
+
 val bench_names : string list
 (** Every bench the suite runs, in definition order ([stm_bench --list]). *)
 

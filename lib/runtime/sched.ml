@@ -348,8 +348,28 @@ let spawn ?(name = "thread") body =
   let e = get_engine () in
   (new_thread e name body).tid
 
+(* Would the scheduler, right now, hand the CPU straight back to the
+   yielding thread? Only [Min_clock] answers without a callback or an RNG
+   draw: its pick is the heap minimum on (clock, tid), a total order, so
+   if the current thread's key is below the heap root (or the heap is
+   empty) the push-then-pop of the slow path returns it again. The fast
+   path then only has to count the scheduling decision, and must not run
+   when the fuel check at the top of [loop] would stop instead.
+   [Random], [Round_robin] and [Controlled] always take the slow path:
+   their picks consume RNG state, advance a cursor or are explorer
+   choice points. *)
+let repicks_current e =
+  match e.policy with
+  | Min_clock ->
+      e.steps < e.max_steps
+      && (e.heap_len = 0 || heap_less e.current e.heap.(0))
+  | Round_robin | Random _ | Controlled _ -> false
+
+let yield_engine e =
+  if repicks_current e then e.steps <- e.steps + 1 else perform Yield
+
 let yield () =
-  match !engine with None -> raise Not_in_simulation | Some _ -> perform Yield
+  match !engine with None -> raise Not_in_simulation | Some e -> yield_engine e
 
 let self () = (get_engine ()).current.tid
 
@@ -381,7 +401,7 @@ let pause n =
       if n <= 0 then perform Yield else go n
   | Round_robin | Min_clock | Controlled _ ->
       e.current.clock <- e.current.clock + max n 0;
-      perform Yield
+      yield_engine e
 
 let rebase () =
   let e = get_engine () in

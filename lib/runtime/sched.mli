@@ -58,7 +58,11 @@ val join : tid -> unit
 
 val yield : unit -> unit
 (** Preemption point. Under {!Min_clock} the scheduler switches only if
-    another runnable thread has a strictly smaller clock. *)
+    another runnable thread comes first in (clock, tid) order: a smaller
+    clock, or the same clock and a smaller tid. A yield after
+    which the scheduler would pick the yielding thread again returns
+    without a context switch, but still counts as one scheduling
+    decision in [switches] and against [max_steps]. *)
 
 val self : unit -> tid
 

@@ -369,3 +369,74 @@ let suite =
         ] );
       ("interp:profile", [ case "counts sites" profile_counts_sites ]);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Call and field resolution: cached per instruction, so one call site *)
+(* seeing several receiver classes and one [new] site run many times   *)
+(* must behave as a fresh lookup each time                             *)
+(* ------------------------------------------------------------------ *)
+
+let resolution_polymorphic_site () =
+  let out =
+    run
+      {|
+class A { int f() { return 1; } }
+class B extends A { int f() { return 2; } }
+class C extends A { }
+class D extends B { int f() { return 4; } }
+class Main { static void main() {
+  A[] xs = new A[6];
+  xs[0] = new A(); xs[1] = new B(); xs[2] = new B();
+  xs[3] = new C(); xs[4] = new D(); xs[5] = new A();
+  for (int i = 0; i < 6; i++) { print(xs[i].f()); }
+} }|}
+  in
+  Alcotest.(check (list string))
+    "one call site, receiver class changing" [ "1"; "2"; "2"; "1"; "4"; "1" ]
+    out.Interp.prints
+
+let resolution_new_defaults () =
+  let out =
+    run
+      {|
+class P { int n; bool b; str s; P next; }
+class Q extends P { int m; }
+class Main { static void main() {
+  Q prev = null;
+  for (int i = 0; i < 3; i++) {
+    Q q = new Q();
+    print(q.n + q.m);
+    print(q.b);
+    print(q.s == "");
+    print(q.next == null);
+    q.n = 7; q.m = 8; q.b = true; q.s = "x"; q.next = prev;
+    prev = q;
+  }
+} }|}
+  in
+  Alcotest.(check (list string))
+    "every allocation starts from the typed defaults"
+    (List.concat (List.init 3 (fun _ -> [ "0"; "false"; "true"; "true" ])))
+    out.Interp.prints
+
+let resolution_error_messages () =
+  expect_thread_error
+    "class C { int x; } class Main { static void main() { C c = null; c.x = 1; } }"
+    "store .x: null dereference";
+  expect_thread_error
+    "class C { int x; } class Main { static void main() { C c = null; print(c.x); } }"
+    "load .x: null dereference";
+  expect_thread_error
+    "class C { int f() { return 1; } } class Main { static void main() { C c = null; print(c.f()); } }"
+    "call f: null dereference"
+
+let suite =
+  suite
+  @ [
+      ( "interp:resolution",
+        [
+          case "polymorphic call site" resolution_polymorphic_site;
+          case "new site defaults" resolution_new_defaults;
+          case "field and call error messages" resolution_error_messages;
+        ] );
+    ]

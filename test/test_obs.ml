@@ -1,7 +1,8 @@
 (* Tests for the observability layer: JSON emitter, ring buffer,
-   histograms, sink level filtering, the event recorder, the per-site
-   barrier profiler (whose column sums must equal the run's global
-   Stats), metrics snapshot/diff, and the exporters. *)
+   histograms, sink level filtering (no Debug payload is even allocated
+   below Debug), the exact host allocation counter, the event recorder,
+   the per-site barrier profiler (whose column sums must equal the run's
+   global Stats), metrics snapshot/diff, and the exporters. *)
 
 open Stm_runtime
 open Stm_core
@@ -183,6 +184,140 @@ let level_filter_no_force () =
       check_int "info event delivered" 1 !seen;
       check_bool "enabled_at info" true (Trace.enabled_at Trace.Info);
       check_bool "not enabled_at debug" false (Trace.enabled_at Trace.Debug))
+
+(* ------------------------------------------------------------------ *)
+(* Debug payloads are never built below Debug                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words allocated by [n] calls of [op], after one warm-up call.
+   [Gc.minor_words] reads the young pointer, so the count is exact, and
+   the readings allocate nothing between them. *)
+let minor_words n op =
+  op ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  Gc.minor_words () -. w0
+
+type guarded_path = {
+  gname : string;
+  gcfg : Config.t;
+  (* the operation, given a shared and a private object *)
+  gop : Heap.obj -> Heap.obj -> unit;
+  (* does this Debug event belong to the operation? *)
+  gevent : Trace.event -> bool;
+}
+
+let barrier_event op path = function
+  | Trace.Barrier b -> b.op = op && b.path = path
+  | _ -> false
+
+let guarded_paths =
+  let strong = Config.eager_strong and dea = Config.with_dea Config.eager_strong in
+  [
+    {
+      gname = "fired read barrier";
+      gcfg = strong;
+      gop = (fun shared _ -> ignore (Barriers.read strong (Stm.stats ()) shared 0));
+      gevent = barrier_event Trace.Op_read Trace.Path_fired;
+    };
+    {
+      gname = "private read barrier";
+      gcfg = dea;
+      gop = (fun _ priv -> ignore (Barriers.read dea (Stm.stats ()) priv 0));
+      gevent = barrier_event Trace.Op_read Trace.Path_private;
+    };
+    {
+      gname = "fired write barrier";
+      gcfg = strong;
+      gop =
+        (fun shared _ -> Barriers.write strong (Stm.stats ()) shared 0 (Heap.Vint 1));
+      gevent = barrier_event Trace.Op_write Trace.Path_fired;
+    };
+    {
+      gname = "private write barrier";
+      gcfg = dea;
+      gop = (fun _ priv -> Barriers.write dea (Stm.stats ()) priv 0 (Heap.Vint 1));
+      gevent = barrier_event Trace.Op_write Trace.Path_private;
+    };
+    {
+      gname = "Stm.read_nobarrier";
+      gcfg = strong;
+      gop = (fun shared _ -> ignore (Stm.read_nobarrier shared 0));
+      gevent =
+        (function
+        | Trace.Access { write = false; txid = -1; _ } -> true
+        | ev -> barrier_event Trace.Op_read Trace.Path_elided ev);
+    };
+    {
+      gname = "Stm.write_nobarrier";
+      gcfg = strong;
+      gop = (fun shared _ -> Stm.write_nobarrier shared 0 (Heap.Vint 1));
+      gevent =
+        (function
+        | Trace.Access { write = true; txid = -1; _ } -> true
+        | ev -> barrier_event Trace.Op_write Trace.Path_elided ev);
+    };
+  ]
+
+(* Words allocated by [n] calls of the path's operation under [sink]
+   (a level and a delivery function, or none), inside a simulation. *)
+let words_under p n sink =
+  let words = ref 0. in
+  let _ =
+    Stm.run ~cfg:p.gcfg (fun () ->
+        let shared = Stm.alloc_public ~cls:"S" 1 in
+        let priv = Stm.alloc ~cls:"P" 1 in
+        (match sink with
+        | Some (level, f) -> Trace.set_sink ~level (Some f)
+        | None -> Trace.set_sink None);
+        Fun.protect
+          ~finally:(fun () -> Trace.set_sink None)
+          (fun () -> words := minor_words n (fun () -> p.gop shared priv)))
+  in
+  !words
+
+let debug_guard_no_alloc () =
+  let n = 1000 in
+  List.iter
+    (fun p ->
+      let off = words_under p n None in
+      let info = words_under p n (Some (Trace.Info, fun _ -> ())) in
+      (* the paths allocate nothing else, so any payload built below
+         Debug would show here *)
+      Alcotest.(check (float 0.)) (p.gname ^ ": no sink, no words") 0. off;
+      Alcotest.(check (float 0.)) (p.gname ^ ": no sink = Info sink") off info;
+      let seen = ref 0 in
+      let debug =
+        words_under p n
+          (Some (Trace.Debug, fun ev -> if p.gevent ev then incr seen))
+      in
+      (* the warm-up call delivers too; payloads cost words, so a
+         Debug sink must allocate more - this is what shows the
+         measurement can see them at all *)
+      check_bool (p.gname ^ ": Debug events arrive") true (!seen >= n + 1);
+      check_bool (p.gname ^ ": Debug payloads are built") true (debug > off))
+    guarded_paths
+
+(* The perf harness's allocation counter is exact: probes of known size,
+   on the minor heap and directly on the major heap, read their size on
+   every one of many calls, across many minor collections. *)
+let perf_alloc_counter_exact () =
+  let minor_probe () =
+    for _ = 1 to 20 do
+      ignore (Sys.opaque_identity (Array.make 100 0))
+    done
+  in
+  let major_probe () = ignore (Sys.opaque_identity (Array.make 1499 0)) in
+  for _ = 1 to 2000 do
+    Alcotest.(check (float 0.))
+      "20 minor blocks of 101 words" 2020.
+      (Stm_perf.Perf.alloc_words_of minor_probe);
+    Alcotest.(check (float 0.))
+      "one direct-major block of 1500 words" 1500.
+      (Stm_perf.Perf.alloc_words_of major_probe)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Stats serialization                                                 *)
@@ -500,7 +635,12 @@ let suite =
         case "snapshot sub" hist_sub;
       ] );
     ( "obs:trace-levels",
-      [ case "info sink never forces debug payloads" level_filter_no_force ] );
+      [
+        case "info sink never forces debug payloads" level_filter_no_force;
+        case "no Debug payload allocated below Debug" debug_guard_no_alloc;
+      ] );
+    ( "obs:perf",
+      [ case "allocation counter is exact" perf_alloc_counter_exact ] );
     ( "obs:stats",
       [ case "to_assoc covers every counter" stats_to_assoc ] );
     ( "obs:recorder",

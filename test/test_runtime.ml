@@ -575,3 +575,127 @@ let suite =
             case "O(1) runnable count" sched_runnable_count;
           ] );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Min_clock yield fast path: a yield the heap would answer with the   *)
+(* yielding thread itself returns without a context switch, but still *)
+(* counts as one scheduling decision                                   *)
+(* ------------------------------------------------------------------ *)
+
+let fast_single_thread_switches () =
+  List.iter
+    (fun n ->
+      let r =
+        Sched.run ~policy:Sched.Min_clock (fun () ->
+            for _ = 1 to n do
+              Sched.tick 1;
+              Sched.yield ()
+            done)
+      in
+      check_bool "completed" true (r.Sched.status = Sched.Completed);
+      check_int (Printf.sprintf "switches for %d yields" n) (n + 1)
+        r.Sched.switches;
+      check_int "makespan" n r.Sched.makespan)
+    [ 0; 1; 7; 1000 ]
+
+let fast_pause_switches () =
+  let r =
+    Sched.run ~policy:Sched.Min_clock (fun () ->
+        Sched.pause 10;
+        Sched.pause 0;
+        Sched.pause 5)
+  in
+  check_int "one decision per pause" 4 r.Sched.switches;
+  check_int "delays charged" 15 r.Sched.makespan
+
+let fast_fuel_boundary () =
+  List.iter
+    (fun k ->
+      let r =
+        Sched.run ~max_steps:k ~policy:Sched.Min_clock (fun () ->
+            while true do
+              Sched.tick 1;
+              Sched.yield ()
+            done)
+      in
+      check_bool "fuel exhausted" true (r.Sched.status = Sched.Fuel_exhausted);
+      check_int (Printf.sprintf "switches = max_steps %d" k) k r.Sched.switches;
+      (* each of the k picks runs one tick-then-yield *)
+      check_int "makespan" k r.Sched.makespan)
+    [ 1; 2; 50 ]
+
+(* Equal clocks resume in tid order: a yield at a clock tie keeps the
+   CPU only if no lower tid is waiting at that clock. *)
+let fast_equal_clock_tid_order () =
+  let order = ref [] in
+  let note s = order := s :: !order in
+  let r =
+    Sched.run ~policy:Sched.Min_clock (fun () ->
+        let t1 =
+          Sched.spawn (fun () ->
+              note "1a";
+              Sched.tick 1;
+              Sched.yield ();
+              note "1b";
+              Sched.yield ();
+              note "1c")
+        in
+        let t2 =
+          Sched.spawn (fun () ->
+              note "2a";
+              Sched.tick 1;
+              (* tie with thread 1 at clock 1: tid 1 goes first *)
+              Sched.yield ();
+              note "2b")
+        in
+        Sched.join t1;
+        Sched.join t2)
+  in
+  check_bool "completed" true (r.Sched.status = Sched.Completed);
+  (* 1c follows 1b directly: after 2's yield, thread 1 at clock 1 is
+     below thread 2 at the same clock, so its second yield keeps the CPU *)
+  Alcotest.(check (list string))
+    "resume order" [ "1a"; "2a"; "1b"; "1c"; "2b" ] (List.rev !order);
+  (* main; 1a; 2a; 1b; 1c (kept the CPU); main at clock 1 before thread
+     2 at clock 1; 2b; main after the join *)
+  check_int "switches" 8 r.Sched.switches
+
+(* Random never takes the fast path: a fixed seed must give the pick
+   sequence and switch count of a scheduler that performs every yield,
+   which is what the expected values were recorded from. *)
+let fast_random_unchanged () =
+  let order = ref [] in
+  let r =
+    Sched.run ~policy:(Sched.Random 42) (fun () ->
+        let ts =
+          List.init 3 (fun i ->
+              Sched.spawn (fun () ->
+                  for _ = 1 to 4 do
+                    order := (i + 1) :: !order;
+                    Sched.tick (i + 1);
+                    Sched.yield ()
+                  done;
+                  Sched.pause 40))
+        in
+        List.iter Sched.join ts)
+  in
+  check_bool "completed" true (r.Sched.status = Sched.Completed);
+  Alcotest.(check (list int))
+    "pick sequence"
+    [ 2; 2; 1; 3; 2; 1; 3; 1; 1; 3; 3; 2 ]
+    (List.rev !order);
+  check_int "switches" 28 r.Sched.switches
+
+let suite =
+  suite
+  @ [
+      ( "runtime:sched-fastpath",
+        [
+          case "single thread: N yields, N + 1 switches"
+            fast_single_thread_switches;
+          case "pause counts one decision" fast_pause_switches;
+          case "fuel boundary unchanged" fast_fuel_boundary;
+          case "equal clocks resume in tid order" fast_equal_clock_tid_order;
+          case "random: stream and switches unchanged" fast_random_unchanged;
+        ] );
+    ]
