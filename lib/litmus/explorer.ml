@@ -31,9 +31,33 @@ let record_outcome tbl outcome =
   Hashtbl.replace tbl outcome
     (1 + Option.value ~default:0 (Hashtbl.find_opt tbl outcome))
 
+(* The default scheduling policy: stay on the current thread while it is
+   runnable, rotating to the next runnable thread (wrapping) once it has
+   been picked [fairness_window] times in a row. *)
+type fairness = { mutable last : Sched.tid; mutable streak : int }
+
+let fairness () = { last = -1; streak = 0 }
+
+let default_pick f ~fairness_window current runnables =
+  if List.mem current runnables then
+    if f.last = current && f.streak >= fairness_window then
+      match List.find_opt (fun t -> t > current) runnables with
+      | Some t -> t
+      | None -> List.hd runnables
+    else current
+  else List.hd runnables
+
+(* Fairness bookkeeping follows the thread actually picked. *)
+let note_pick f chosen =
+  if chosen = f.last then f.streak <- f.streak + 1
+  else begin
+    f.last <- chosen;
+    f.streak <- 1
+  end
+
 (* Execute one schedule. [prefix] forces the first choices; afterwards the
-   default policy applies (stay on the current thread, rotate after the
-   fairness window). Returns the decision trace and the outcome string. *)
+   default policy applies. Returns the decision trace and the outcome
+   string. *)
 let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
   if st.runs >= st.max_runs then begin
     st.truncated <- true;
@@ -43,30 +67,15 @@ let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
   let inst = make () in
   let trace = ref [] in
   let ndecisions = ref 0 in
-  let consecutive = ref 0 in
-  let last_default = ref (-1) in
+  let fair = fairness () in
   let choose current runnables =
     let i = !ndecisions in
     incr ndecisions;
-    let default =
-      if List.mem current runnables then
-        if !last_default = current && !consecutive >= fairness_window then
-          (* rotate: next runnable after current, wrapping *)
-          match List.filter (fun t -> t > current) runnables with
-          | t :: _ -> t
-          | [] -> List.hd runnables
-        else current
-      else List.hd runnables
-    in
     let chosen =
-      if i < Array.length prefix then prefix.(i) else default
+      if i < Array.length prefix then prefix.(i)
+      else default_pick fair ~fairness_window current runnables
     in
-    (* keep fairness bookkeeping against actually-chosen thread *)
-    if chosen = !last_default then incr consecutive
-    else begin
-      last_default := chosen;
-      consecutive := 1
-    end;
+    note_pick fair chosen;
     let alts = List.filter (fun t -> t <> chosen) runnables in
     trace := { chosen; alts } :: !trace;
     chosen
@@ -121,12 +130,11 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
   let rec dfs prefix npre =
     let trace, _outcome = execute prefix in
     if npre < preemption_bound then
-      let start = Array.length prefix in
-      for i = start to Array.length trace - 1 do
+      let chosen = Array.map (fun d -> d.chosen) trace in
+      for i = Array.length prefix to Array.length trace - 1 do
         List.iter
           (fun alt ->
-            let prefix' = Array.make (i + 1) 0 in
-            Array.blit (Array.map (fun d -> d.chosen) trace) 0 prefix' 0 i;
+            let prefix' = Array.sub chosen 0 (i + 1) in
             prefix'.(i) <- alt;
             dfs prefix' (npre + 1))
           trace.(i).alts
@@ -171,41 +179,178 @@ let observed e pred = List.exists (fun (o, _) -> pred o) e.outcomes
 
 type dpor = { exploration : exploration; complete : bool; races : int }
 
-(* A segment footprint: granule id -> strongest access level.
-   2 = write, 1 = read, 0 = futile spin-wait re-read
+(* A segment footprint: each granule it touched, once, with the strongest
+   access level. 2 = write, 1 = read, 0 = futile spin-wait re-read
    ({!Stm_runtime.Footprint.Spin_read}). A write is {e dependent} on all
    three (it must be ordered against them for the happens-before pass),
    but only write/write and write/read pairs are {e races} worth
    reversing: flipping a write against a futile spin iteration merely
    changes how often the waiter re-checks before the same exit — the
-   spin-assume reduction of await loops. *)
-type fp = (int, int) Hashtbl.t
+   spin-assume reduction of await loops. Footprints are a few granules
+   and one is kept per segment of every run, so a list beats a hash
+   table (which has at least 16 buckets) on both time and space; a
+   repeated access returns the footprint unchanged, allocating nothing. *)
+type fp = (int * int) list
 
 let level = function
   | Footprint.Spin_read -> 0
   | Footprint.Read -> 1
   | Footprint.Write -> 2
 
-let fp_add (f : fp) oid lv =
-  match Hashtbl.find_opt f oid with
-  | None -> Hashtbl.add f oid lv
-  | Some l -> if lv > l then Hashtbl.replace f oid lv
+let rec fp_add (f : fp) oid lv : fp =
+  match f with
+  | [] -> [ (oid, lv) ]
+  | (o, l) :: rest when o = oid -> if lv > l then (oid, lv) :: rest else f
+  | x :: rest ->
+      let rest' = fp_add rest oid lv in
+      if rest' == rest then f else x :: rest'
 
 (* Dependency: a shared granule at least one side writes (spin reads
    included — ordering matters even where reversal is pointless). *)
 let fp_conflicts (a : fp) (b : fp) =
-  let small, big =
-    if Hashtbl.length a <= Hashtbl.length b then (a, b) else (b, a)
+  List.exists
+    (fun (oid, lv) ->
+      List.exists (fun (o, l) -> o = oid && (lv = 2 || l = 2)) b)
+    a
+
+(* Happens-before pass over one run's segments: segment [j] was run by
+   [chosen.(j)], picked from [runnables.(j)], and touched [fps.(j)].
+   Dependent = same thread (program order), enabledness edge, or
+   footprint conflict; each conflicting pair not already ordered is an
+   immediate race. Returns the races [(i, j)] with [j >= start] (earlier
+   pairs were analyzed when their segments first executed), ordered by
+   [j], then nearest [i] first.
+
+   The pass is linear in the trace: per granule and thread it keeps the
+   latest segment that accessed the granule (with that access's level)
+   and the latest that wrote it, so each segment meets at most one
+   candidate per thread. That is exact. An older candidate of the same
+   thread is program-ordered before the nearest one; candidates are
+   joined nearest first, so by the time an older one would be tested the
+   nearest has ordered it (it is never an immediate race), and joining
+   it adds nothing (clocks are monotone along a thread). Each segment's
+   clock is referenced from the index, so no per-segment table is kept. *)
+type gidx = {
+  acc : int array;  (* per thread: latest accessing segment, or -1 *)
+  acc_lv : int array;  (* ... and its level *)
+  acc_c : int array array;  (* ... and its clock *)
+  wr : int array;  (* per thread: latest writing segment, or -1 *)
+  wr_c : int array array;  (* ... and its clock *)
+}
+
+let race_pairs ~(chosen : Sched.tid array) ~(runnables : Sched.tid list array)
+    ~(fps : fp array) ~start =
+  let m = Array.length chosen in
+  let nt =
+    1
+    + Array.fold_left max
+        (Array.fold_left (List.fold_left max) 0 runnables)
+        chosen
   in
-  try
-    Hashtbl.iter
-      (fun oid lv ->
-        match Hashtbl.find_opt big oid with
-        | Some lv' when lv = 2 || lv' = 2 -> raise Exit
-        | Some _ | None -> ())
-      small;
-    false
-  with Exit -> true
+  let no_clock = [||] in
+  let idx : (int, gidx) Hashtbl.t = Hashtbl.create 64 in
+  let last_c = Array.make nt no_clock in
+  let nseg = Array.make nt 0 in
+  (* enabledness edges: a thread runnable at decision [j] but not at
+     [j-1] was enabled by segment [j-1]; the edge is joined at that
+     thread's next segment *)
+  let pending = Array.make nt [] in
+  let cand = Array.make nt (-1) in
+  let cand_race = Array.make nt false in
+  let cand_c = Array.make nt no_clock in
+  let order = Array.make nt 0 in
+  let prev_c = ref no_clock in
+  let pairs = ref [] in
+  for j = 0 to m - 1 do
+    let t = chosen.(j) in
+    if j > 0 then
+      List.iter
+        (fun u ->
+          if not (List.mem u runnables.(j - 1)) then
+            pending.(u) <- !prev_c :: pending.(u))
+        runnables.(j);
+    let c = Array.make nt 0 in
+    let join src = Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) src in
+    join last_c.(t);
+    List.iter join pending.(t);
+    pending.(t) <- [];
+    (* the nearest conflicting segment of every other thread, flagged
+       when the pair is a reversible race (write/write or write/read on
+       some shared granule) rather than merely ordering-relevant
+       (write/spin-read) *)
+    Array.fill cand 0 nt (-1);
+    List.iter
+      (fun (oid, lv) ->
+        match Hashtbl.find_opt idx oid with
+        | None -> ()
+        | Some g ->
+            for u = 0 to nt - 1 do
+              if u <> t then begin
+                let i = if lv = 2 then g.acc.(u) else g.wr.(u) in
+                let race = if lv = 2 then g.acc_lv.(u) >= 1 else lv >= 1 in
+                if i > cand.(u) then begin
+                  cand.(u) <- i;
+                  cand_race.(u) <- race;
+                  cand_c.(u) <- (if lv = 2 then g.acc_c.(u) else g.wr_c.(u))
+                end
+                else if i >= 0 && i = cand.(u) && race then
+                  cand_race.(u) <- true
+              end
+            done)
+      fps.(j);
+    (* nearest first, so that a chain through a later conflict orders
+       the earlier ones before they are tested *)
+    let n = ref 0 in
+    for u = 0 to nt - 1 do
+      if cand.(u) >= 0 then begin
+        let k = ref !n in
+        while !k > 0 && cand.(order.(!k - 1)) < cand.(u) do
+          order.(!k) <- order.(!k - 1);
+          decr k
+        done;
+        order.(!k) <- u;
+        incr n
+      end
+    done;
+    for k = 0 to !n - 1 do
+      let u = order.(k) in
+      let ci = cand_c.(u) in
+      if cand_race.(u) && c.(u) < ci.(u) && j >= start then
+        pairs := (cand.(u), j) :: !pairs;
+      join ci
+    done;
+    nseg.(t) <- nseg.(t) + 1;
+    c.(t) <- nseg.(t);
+    last_c.(t) <- c;
+    prev_c := c;
+    List.iter
+      (fun (oid, lv) ->
+        let g =
+          match Hashtbl.find_opt idx oid with
+          | Some g -> g
+          | None ->
+              let g =
+                {
+                  acc = Array.make nt (-1);
+                  acc_lv = Array.make nt 0;
+                  acc_c = Array.make nt no_clock;
+                  wr = Array.make nt (-1);
+                  wr_c = Array.make nt no_clock;
+                }
+              in
+              Hashtbl.add idx oid g;
+              g
+        in
+        g.acc.(t) <- j;
+        g.acc_lv.(t) <- lv;
+        g.acc_c.(t) <- c;
+        if lv = 2 then begin
+          g.wr.(t) <- j;
+          g.wr_c.(t) <- c
+        end)
+      fps.(j)
+  done;
+  List.rev !pairs
 
 (* One node of the schedule tree: the pre-state of segment [i], i.e.
    the state in which scheduling decision [i] is taken. Determinism of
@@ -215,8 +360,8 @@ type node = {
   n_runnables : Sched.tid list;
   n_default : Sched.tid;  (* what the default policy picks here *)
   mutable n_chosen : Sched.tid;  (* choice of the branch being explored *)
-  n_done : (Sched.tid, fp) Hashtbl.t;
-      (* explored choices -> first-segment footprint of that choice *)
+  mutable n_done : (Sched.tid * fp) list;
+      (* explored choices, each with its first segment's footprint *)
   mutable n_backtrack : Sched.tid list;  (* pending race reversals *)
   n_sleep : (Sched.tid * fp) list;
       (* threads whose next segment (with that footprint) is already
@@ -250,9 +395,8 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
   let decs = ref [] in
   let fps = ref [] in
   let ndecisions = ref 0 in
-  let consecutive = ref 0 in
-  let last_default = ref (-1) in
-  let cur_fp = ref (Hashtbl.create 8 : fp) in
+  let fair = fairness () in
+  let cur_fp = ref ([] : fp) in
   let cur_sleep = ref [] in
   let recording = ref true in
   let choose current runnables =
@@ -268,20 +412,8 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
         fps := !cur_fp :: !fps;
         cur_sleep := []
       end;
-      let default =
-        if List.mem current runnables then
-          if !last_default = current && !consecutive >= fairness_window then
-            match List.filter (fun t -> t > current) runnables with
-            | t :: _ -> t
-            | [] -> List.hd runnables
-          else current
-        else List.hd runnables
-      in
-      if default = !last_default then incr consecutive
-      else begin
-        last_default := default;
-        consecutive := 1
-      end;
+      let default = default_pick fair ~fairness_window current runnables in
+      note_pick fair default;
       default
     end
     else begin
@@ -289,7 +421,7 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
          discarded (it is a fixed prefix of every schedule) *)
       let prev_fp = !cur_fp in
       if i > 0 then fps := prev_fp :: !fps;
-      cur_fp := Hashtbl.create 8;
+      cur_fp := [];
       (* wake sleepers whose pending step conflicts with the segment
          that just ran *)
       if use_sleep && i > 0 then
@@ -298,14 +430,7 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
       let entry_sleep = !cur_sleep in
       let default =
         let policy_default =
-          if List.mem current runnables then
-            if !last_default = current && !consecutive >= fairness_window
-            then
-              match List.filter (fun t -> t > current) runnables with
-              | t :: _ -> t
-              | [] -> List.hd runnables
-            else current
-          else List.hd runnables
+          default_pick fair ~fairness_window current runnables
         in
         if use_sleep && List.mem_assoc policy_default entry_sleep then
           (* the policy default's next step is covered by an explored
@@ -322,22 +447,15 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
         else policy_default
       in
       let chosen = if i < Array.length prefix then prefix.(i) else default in
-      if chosen = !last_default then incr consecutive
-      else begin
-        last_default := chosen;
-        consecutive := 1
-      end;
+      note_pick fair chosen;
       (* siblings explored earlier from this node go to sleep for the
          branch below [chosen] *)
       if use_sleep then begin
         let fresh =
           if i < nnodes then
-            Hashtbl.fold
-              (fun t f acc ->
-                if t <> chosen && not (List.mem_assoc t entry_sleep) then
-                  (t, f) :: acc
-                else acc)
-              nodes.(i).n_done []
+            List.filter
+              (fun (t, _) -> t <> chosen && not (List.mem_assoc t entry_sleep))
+              nodes.(i).n_done
           else []
         in
         cur_sleep :=
@@ -355,7 +473,9 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
     end
   in
   Footprint.set_sink
-    (Some (fun oid k -> if !recording then fp_add !cur_fp oid (level k)));
+    (Some
+       (fun oid k ->
+         if !recording then cur_fp := fp_add !cur_fp oid (level k)));
   let result =
     Fun.protect
       ~finally:(fun () -> Footprint.set_sink None)
@@ -434,7 +554,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
   let insert_backtrack (decs : rdec array) i j =
     let nd = !nodes.(i) in
     let covered t =
-      Hashtbl.mem nd.n_done t
+      List.mem_assoc t nd.n_done
       || List.mem t nd.n_backtrack
       || List.mem_assoc t nd.n_sleep
     in
@@ -443,116 +563,15 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     if List.mem tj nd.n_runnables then add tj
     else List.iter add nd.n_runnables
   in
-  (* Vector-clock pass over one run's segments. Dependent = same thread
-     (program order), enabledness edge, or footprint conflict; each
-     conflicting pair not already ordered is an immediate race. Races
-     are counted and reversed only for [j >= start]: earlier pairs were
-     analyzed when their segments first executed. *)
-  let analyze (decs : rdec array) (fps : fp array) ~start =
-    let m = Array.length decs in
-    if m > 0 then begin
-      let nt =
-        1
-        + Array.fold_left
-            (fun acc d ->
-              List.fold_left (fun a t -> max a t) (max acc d.r_chosen)
-                d.r_runnables)
-            0 decs
-      in
-      (* enabledness edges: a thread runnable at decision [i+1] but not
-         at [i] was enabled by segment [i]; the edge targets that
-         thread's next segment *)
-      let segs_of = Array.make nt [] in
-      for j = m - 1 downto 0 do
-        segs_of.(decs.(j).r_chosen) <- j :: segs_of.(decs.(j).r_chosen)
-      done;
-      let cursor = Array.copy segs_of in
-      let edges_into = Array.make m [] in
-      for i = 0 to m - 2 do
-        List.iter
-          (fun t ->
-            if not (List.mem t decs.(i).r_runnables) then begin
-              let rec adv = function
-                | s :: rest when s <= i -> adv rest
-                | l -> l
-              in
-              cursor.(t) <- adv cursor.(t);
-              match cursor.(t) with
-              | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
-              | [] -> ()
-            end)
-          decs.(i + 1).r_runnables
-      done;
-      (* per-segment local index within its thread (1-based) *)
-      let local = Array.make m 0 in
-      let tindex = Array.make nt 0 in
-      for j = 0 to m - 1 do
-        let t = decs.(j).r_chosen in
-        tindex.(t) <- tindex.(t) + 1;
-        local.(j) <- tindex.(t)
-      done;
-      (* conflict candidates via a per-granule access index *)
-      let by_oid : (int, (int * int) list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let clocks = Array.make m [||] in
-      let last_seg = Array.make nt (-1) in
-      for j = 0 to m - 1 do
-        let t = decs.(j).r_chosen in
-        let c = Array.make nt 0 in
-        let join src =
-          Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
-        in
-        if last_seg.(t) >= 0 then join last_seg.(t);
-        List.iter join edges_into.(j);
-        (* conflicting earlier segments, nearest first so that a chain
-           through a later conflict orders the earlier ones before they
-           are tested (only immediate races get reversed) *)
-        (* candidate -> is the pair a reversible race (write/write or
-           write/read on some shared granule) rather than merely
-           ordering-relevant (write/spin-read)? *)
-        let cands = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun oid lv ->
-            match Hashtbl.find_opt by_oid oid with
-            | None -> ()
-            | Some l ->
-                List.iter
-                  (fun (i, lvi) ->
-                    if lv = 2 || lvi = 2 then
-                      let race = lv + lvi >= 3 in
-                      match Hashtbl.find_opt cands i with
-                      | Some true -> ()
-                      | Some false ->
-                          if race then Hashtbl.replace cands i true
-                      | None -> Hashtbl.add cands i race)
-                  !l)
-          fps.(j);
-        let sorted =
-          Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
-          |> List.sort (fun (a, _) (b, _) -> compare b a)
-        in
-        List.iter
-          (fun (i, race) ->
-            if race && c.(decs.(i).r_chosen) < local.(i) && j >= start
-            then begin
-              (* unordered reversible pair: an immediate race *)
-              incr races;
-              insert_backtrack decs i j
-            end;
-            join i)
-          sorted;
-        c.(t) <- local.(j);
-        clocks.(j) <- c;
-        last_seg.(t) <- j;
-        Hashtbl.iter
-          (fun oid lv ->
-            match Hashtbl.find_opt by_oid oid with
-            | Some l -> l := (j, lv) :: !l
-            | None -> Hashtbl.add by_oid oid (ref [ (j, lv) ]))
-          fps.(j)
-      done
-    end
+  let analyze (decs : rdec array) fps ~start =
+    List.iter
+      (fun (i, j) ->
+        incr races;
+        insert_backtrack decs i j)
+      (race_pairs
+         ~chosen:(Array.map (fun d -> d.r_chosen) decs)
+         ~runnables:(Array.map (fun d -> d.r_runnables) decs)
+         ~fps ~start)
   in
   let run_branch prefix =
     let decs, fps, status, ndec, outcome =
@@ -567,8 +586,8 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     let base = !nnodes in
     (* the flipped node's new branch enters its done set *)
     if base > 0 && m >= base then begin
-      let k = base - 1 in
-      Hashtbl.replace !nodes.(k).n_done decs.(k).r_chosen fps.(k)
+      let nd = !nodes.(base - 1) and c = decs.(base - 1).r_chosen in
+      nd.n_done <- (c, fps.(base - 1)) :: List.remove_assoc c nd.n_done
     end;
     for i = base to m - 1 do
       let d = decs.(i) in
@@ -583,10 +602,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
           n_runnables = d.r_runnables;
           n_default = d.r_default;
           n_chosen = d.r_chosen;
-          n_done =
-            (let h = Hashtbl.create 4 in
-             Hashtbl.add h d.r_chosen fps.(i);
-             h);
+          n_done = [ (d.r_chosen, fps.(i)) ];
           n_backtrack = [];
           n_sleep = d.r_sleep;
           n_preemptions = preempt;
@@ -613,7 +629,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
             None
         | t :: rest ->
             if
-              Hashtbl.mem nd.n_done t
+              List.mem_assoc t nd.n_done
               || List.mem_assoc t nd.n_sleep
               || not (bound_ok nd t)
             then pick rest

@@ -126,6 +126,30 @@ val explore_dpor :
     Defaults as {!explore} otherwise: [max_runs = 40_000],
     [max_steps = 60_000], [fairness_window = 64]. *)
 
+type fp = (int * int) list
+(** A scheduler segment's footprint: every granule it touched, once,
+    with the strongest access level, [2] = write, [1] = read, [0] =
+    futile spin-wait re-read ({!Stm_runtime.Footprint.Spin_read}). *)
+
+val race_pairs :
+  chosen:Stm_runtime.Sched.tid array ->
+  runnables:Stm_runtime.Sched.tid list array ->
+  fps:fp array ->
+  start:int ->
+  (int * int) list
+(** The happens-before pass {!explore_dpor} runs after each schedule.
+    Segment [j] of the run was executed by [chosen.(j)], picked from
+    [runnables.(j)], and touched [fps.(j)]. Two segments are dependent
+    when they share a thread, when the first enabled the second's thread
+    (runnable at decision [j] but not at [j - 1]: an edge from segment
+    [j - 1] to that thread's next segment), or when they share a granule
+    one of them writes. Returns every {e immediate race} [(i, j)] with
+    [j >= start]: a write/write or write/read pair not already ordered
+    through intermediaries (write/spin-read pairs order but never race).
+    The list is in the order backtrack points are inserted: by [j], then
+    nearest [i] first. Linear in the trace: O(footprint x threads) per
+    segment. *)
+
 val explore_pct :
   ?runs:int ->
   ?depth:int ->

@@ -143,6 +143,20 @@ let fig6_explorer () =
        Stm_litmus.Programs.speculative_lost_update
        (Stm_litmus.Modes.Weak Stm_core.Config.Eager))
 
+(* One DPOR certification walk: privatization under lazy quiescence at
+   bound 2 (223 runs, 458 races). Its quiescence spin-waits make long
+   traces over a few hot granules, so it weighs schedule re-execution
+   under the footprint sink and the per-run race analysis. *)
+let dpor_cell () =
+  let open Stm_litmus in
+  let p = Programs.privatization in
+  let mode = Modes.Weak_quiesce Stm_core.Config.Lazy in
+  let cfg = Modes.config ~granule:p.Programs.needs_granule mode in
+  ignore
+    (Explorer.explore_dpor ~preemption_bound:2 ~cfg
+       ~make:(fun () -> p.Programs.build (Modes.harness mode cfg))
+       ())
+
 (* End-to-end Tsp at 4 simulated processors (the fig18 unit): IR
    interpreter dispatch + Min_clock scheduler + full STM protocol. *)
 let fig18_tsp =
@@ -232,6 +246,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("txn/lazy-write-commit", lazy_write_commit);
     ("txn/abort-retry", abort_retry cfg);
     ("fig6/explorer-cell", fig6_explorer);
+    ("explore/dpor-cell", dpor_cell);
     ("fig18/tsp-4t", fig18_tsp);
     ("fuzz/clean-campaign", fuzz_campaign);
     ("diag/churn-off", diag_churn cfg);

@@ -18,7 +18,12 @@ type kind = Spin_read | Read | Write
 
 let sink : (int -> kind -> unit) option ref = ref None
 
-let set_sink s = sink := s
+let set_sink s =
+  (match (s, !sink) with
+  | Some _, Some _ ->
+      invalid_arg "Footprint.set_sink: a sink is already installed"
+  | _ -> ());
+  sink := s
 
 let[@inline] read oid =
   match !sink with None -> () | Some f -> f oid Read

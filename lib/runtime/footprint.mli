@@ -28,7 +28,9 @@ type kind = Spin_read | Read | Write
 
 val set_sink : (int -> kind -> unit) option -> unit
 (** [set_sink (Some f)] routes every access to [f oid kind];
-    [set_sink None] uninstalls. Not nested: the explorer owns it. *)
+    [set_sink None] uninstalls. Not nested: the explorer owns it, and
+    installing a sink while one is installed raises [Invalid_argument]
+    instead of silently replacing the first. *)
 
 val read : int -> unit
 (** Report a read of [oid] by the running thread. *)

@@ -510,6 +510,228 @@ let dpor_equiv_qcheck =
            && d.Explorer.complete);
   ]
 
+(* The all-accesses scan [Explorer.race_pairs] replaced, kept as its
+   reference: every earlier access to a shared granule is a candidate,
+   enabledness edges are resolved against each thread's segment list,
+   and candidates are joined nearest first. Quadratic in the trace. *)
+let reference_race_pairs ~chosen ~runnables ~(fps : Explorer.fp array) ~start =
+  let m = Array.length chosen in
+  let pairs = ref [] in
+  if m > 0 then begin
+    let nt =
+      1
+      + Array.fold_left max
+          (Array.fold_left (List.fold_left max) 0 runnables)
+          chosen
+    in
+    let segs_of = Array.make nt [] in
+    for j = m - 1 downto 0 do
+      segs_of.(chosen.(j)) <- j :: segs_of.(chosen.(j))
+    done;
+    let cursor = Array.copy segs_of in
+    let edges_into = Array.make m [] in
+    for i = 0 to m - 2 do
+      List.iter
+        (fun t ->
+          if not (List.mem t runnables.(i)) then begin
+            let rec adv = function
+              | s :: rest when s <= i -> adv rest
+              | l -> l
+            in
+            cursor.(t) <- adv cursor.(t);
+            match cursor.(t) with
+            | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
+            | [] -> ()
+          end)
+        runnables.(i + 1)
+    done;
+    let local = Array.make m 0 in
+    let tindex = Array.make nt 0 in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      tindex.(t) <- tindex.(t) + 1;
+      local.(j) <- tindex.(t)
+    done;
+    let by_oid : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
+    let clocks = Array.make m [||] in
+    let last_seg = Array.make nt (-1) in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      let c = Array.make nt 0 in
+      let join src =
+        Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
+      in
+      if last_seg.(t) >= 0 then join last_seg.(t);
+      List.iter join edges_into.(j);
+      let cands = Hashtbl.create 8 in
+      List.iter
+        (fun (oid, lv) ->
+          match Hashtbl.find_opt by_oid oid with
+          | None -> ()
+          | Some l ->
+              List.iter
+                (fun (i, lvi) ->
+                  if lv = 2 || lvi = 2 then
+                    let race = lv + lvi >= 3 in
+                    match Hashtbl.find_opt cands i with
+                    | Some true -> ()
+                    | Some false -> if race then Hashtbl.replace cands i true
+                    | None -> Hashtbl.add cands i race)
+                !l)
+        fps.(j);
+      Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
+      |> List.sort (fun (a, _) (b, _) -> compare b a)
+      |> List.iter (fun (i, race) ->
+             if race && c.(chosen.(i)) < local.(i) && j >= start then
+               pairs := (i, j) :: !pairs;
+             join i);
+      c.(t) <- local.(j);
+      clocks.(j) <- c;
+      last_seg.(t) <- j;
+      List.iter
+        (fun (oid, lv) ->
+          match Hashtbl.find_opt by_oid oid with
+          | Some l -> l := (j, lv) :: !l
+          | None -> Hashtbl.add by_oid oid (ref [ (j, lv) ]))
+        fps.(j)
+    done
+  end;
+  List.rev !pairs
+
+(* A random segment trace: 2-4 threads, runnable sets that grow and
+   shrink (so enabledness edges occur), footprints of spin-reads, reads
+   and writes over four granules (one a negative pseudo-oid), and an
+   analysis start inside the trace. *)
+type seg_trace = {
+  st_chosen : int array;
+  st_runnables : int list array;
+  st_fps : (int * int) list array;
+  st_start : int;
+}
+
+let seg_trace_gen =
+  let open QCheck.Gen in
+  int_range 2 4 >>= fun nt ->
+  int_range 1 40 >>= fun m ->
+  let seg =
+    int_bound (nt - 1) >>= fun chosen ->
+    list_size (int_bound nt) (int_bound (nt - 1)) >>= fun others ->
+    list_size (int_bound 3)
+      (pair (oneofl [ 0; 1; 2; -3 ]) (int_bound 2))
+    >|= fun fp ->
+    (chosen, List.sort_uniq compare (chosen :: others), fp)
+  in
+  array_repeat m seg >>= fun segs ->
+  int_bound (m - 1) >|= fun start ->
+  {
+    st_chosen = Array.map (fun (c, _, _) -> c) segs;
+    st_runnables = Array.map (fun (_, r, _) -> r) segs;
+    st_fps = Array.map (fun (_, _, f) -> f) segs;
+    st_start = start;
+  }
+
+let seg_trace_print tr =
+  String.concat " | "
+    (List.init (Array.length tr.st_chosen) (fun j ->
+         Printf.sprintf "t%d of {%s}: %s" tr.st_chosen.(j)
+           (String.concat "," (List.map string_of_int tr.st_runnables.(j)))
+           (String.concat ","
+              (List.map
+                 (fun (g, lv) -> Printf.sprintf "%d:%d" g lv)
+                 tr.st_fps.(j)))))
+  ^ Printf.sprintf " start=%d" tr.st_start
+
+let fp_of accesses : Explorer.fp =
+  List.fold_left
+    (fun f (g, lv) ->
+      match List.assoc_opt g f with
+      | Some l when l >= lv -> f
+      | Some _ | None -> (g, lv) :: List.remove_assoc g f)
+    [] accesses
+
+let race_pairs_qcheck =
+  QCheck.Test.make ~name:"race_pairs: same ordered races as the full scan"
+    ~count:500
+    (QCheck.make ~print:seg_trace_print seg_trace_gen)
+    (fun tr ->
+      let fps = Array.map fp_of tr.st_fps in
+      let args f =
+        f ~chosen:tr.st_chosen ~runnables:tr.st_runnables ~fps
+          ~start:tr.st_start
+      in
+      args Explorer.race_pairs = args reference_race_pairs)
+
+(* Spot checks of the race rules: a write races a read or write of
+   another thread, never a spin-read; a nearer conflict orders an older
+   one; an enabledness edge orders the enabled thread's next segment. *)
+let race_pairs_rules () =
+  let races chosen runnables fps =
+    Explorer.race_pairs ~chosen:(Array.of_list chosen)
+      ~runnables:(Array.of_list runnables)
+      ~fps:(Array.of_list (List.map fp_of fps))
+      ~start:0
+  in
+  let pairs = Alcotest.(check (list (pair int int))) in
+  pairs "write/read races" [ (0, 1) ]
+    (races [ 0; 1 ] [ [ 0; 1 ]; [ 0; 1 ] ] [ [ (5, 2) ]; [ (5, 1) ] ]);
+  pairs "write/spin-read orders only" []
+    (races [ 0; 1 ] [ [ 0; 1 ]; [ 0; 1 ] ] [ [ (5, 2) ]; [ (5, 0) ] ]);
+  pairs "read/read independent" []
+    (races [ 0; 1 ] [ [ 0; 1 ]; [ 0; 1 ] ] [ [ (5, 1) ]; [ (5, 1) ] ]);
+  pairs "chain: only the nearest races" [ (0, 1); (1, 2) ]
+    (races [ 0; 1; 2 ]
+       [ [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ] ]
+       [ [ (5, 2) ]; [ (5, 2) ]; [ (5, 2) ] ]);
+  pairs "enabledness edge orders" []
+    (races [ 0; 1 ] [ [ 0 ]; [ 0; 1 ] ] [ [ (5, 2) ]; [ (5, 2) ] ])
+
+(* Exact DPOR results of the heaviest and most race-dense cells, as the
+   repository benchmark's reference records them: run count, race count
+   and completeness pin the backtrack tree the race analysis seeds. *)
+let dpor_pinned_cells () =
+  let check (name, mode_name, bound, runs, races) =
+    let p, mode, _ =
+      List.find
+        (fun (p, m, b) ->
+          p.Programs.name = name && Modes.name m = mode_name && b = bound)
+        (Matrix.full_matrix ())
+    in
+    let cfg = Modes.config ~granule:p.Programs.needs_granule mode in
+    let d =
+      Explorer.explore_dpor ~preemption_bound:bound
+        ~stop_when:p.Programs.is_anomalous ~cfg
+        ~make:(fun () -> p.Programs.build (Modes.harness mode cfg))
+        ()
+    in
+    let cell = Printf.sprintf "%s/%s/b%d" name mode_name bound in
+    check_int (cell ^ " runs") runs d.Explorer.exploration.Explorer.runs;
+    check_int (cell ^ " races") races d.Explorer.races;
+    check_bool (cell ^ " complete") true d.Explorer.complete
+  in
+  List.iter check
+    [
+      ("privatization", "quiesce-eager", 2, 579, 1611);
+      ("privatization", "quiesce-lazy", 2, 223, 458);
+      ("long-fork", "weak-eager", 2, 175, 862);
+      ("long-fork", "weak-mvcc", 3, 622, 2297);
+      ("txn-dirty", "weak-eager", 2, 22, 37);
+    ]
+
+(* The footprint sink is not nested: a second install fails loudly
+   instead of silently replacing the first. *)
+let footprint_sink_refuses_nesting () =
+  let module F = Stm_runtime.Footprint in
+  F.set_sink (Some (fun _ _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> F.set_sink None)
+    (fun () ->
+      Alcotest.check_raises "second install"
+        (Invalid_argument "Footprint.set_sink: a sink is already installed")
+        (fun () -> F.set_sink (Some (fun _ _ -> ()))));
+  check_bool "uninstalled" false (F.active ());
+  F.set_sink (Some (fun _ _ -> ()));
+  F.set_sink None
+
 let dpor_cases =
   [
     case "fig6 certified with >= 5x fewer runs" dpor_certifies_fig6;
@@ -517,8 +739,12 @@ let dpor_cases =
     case "explore: runs = livelocks + outcomes" explore_accounts_livelocks;
     case "explore_dpor: runs = livelocks + outcomes"
       explore_dpor_accounts_livelocks;
+    case "race_pairs: race rules" race_pairs_rules;
+    case "exact runs/races/completeness of pinned cells" dpor_pinned_cells;
+    case "footprint sink refuses nesting" footprint_sink_refuses_nesting;
   ]
-  @ List.map QCheck_alcotest.to_alcotest dpor_equiv_qcheck
+  @ List.map QCheck_alcotest.to_alcotest
+      (race_pairs_qcheck :: dpor_equiv_qcheck)
 
 (* quiescence orders write-backs but does not close the 4a read window *)
 let quiesce_does_not_fix_mi_rw () =
