@@ -32,6 +32,13 @@ type frame = {
   mutable f_serial : int option;
 }
 
+(* What the collector knows about one scheduler thread. *)
+type thread_info = {
+  mutable tag : History.tag option;  (* current step tag *)
+  mutable logical : int;  (* logical thread index, -1 for main *)
+  mutable frames : frame list;  (* open txns, innermost first *)
+}
+
 type collector = {
   mutable enabled : bool;
   mutable mv : bool;  (* multi-version run: ro txns serialize at snapshot *)
@@ -40,15 +47,17 @@ type collector = {
   mutable roots_oid : int;
   box_ids : (int, History.box_id) Hashtbl.t;  (* oid -> box *)
   mutable box_objs : (History.box_id * Heap.obj) list;  (* reversed *)
-  tags : (int, History.tag) Hashtbl.t;  (* sched tid -> current tag *)
-  tids : (int, int) Hashtbl.t;  (* sched tid -> logical thread index *)
-  frames : (int, frame list) Hashtbl.t;  (* sched tid -> open txn stack *)
+  mutable threads : thread_info array;  (* index = sched tid *)
   mutable raw_nodes : History.node list;  (* reversed, commit order *)
   mutable init : (History.loc * History.value) list;
   mutable final : (History.loc * History.value) list option;
 }
 
-let create_collector () =
+let new_thread_info _ = { tag = None; logical = -1; frames = [] }
+
+(* [nthreads] sizes the thread array for main plus the program's
+   threads; a tid beyond it grows the array. *)
+let create_collector ~nthreads =
   {
     enabled = false;
     mv = false;
@@ -57,81 +66,88 @@ let create_collector () =
     roots_oid = -1;
     box_ids = Hashtbl.create 16;
     box_objs = [];
-    tags = Hashtbl.create 8;
-    tids = Hashtbl.create 8;
-    frames = Hashtbl.create 8;
+    threads = Array.init nthreads new_thread_info;
     raw_nodes = [];
     init = [];
     final = None;
   }
 
+let info_of col tid =
+  let n = Array.length col.threads in
+  if tid >= n then
+    col.threads <-
+      Array.init (max (tid + 1) (2 * n)) (fun i ->
+          if i < n then col.threads.(i) else new_thread_info i);
+  col.threads.(tid)
+
+(* The history's view of a heap field and of a heap value. Both raise
+   [Not_found] off the fuzz heap (every access event passes through
+   here, so no option is built). *)
 let loc_of col ~oid ~fld =
-  if oid = col.cells_oid then Some (History.Cell fld)
-  else if oid = col.roots_oid then Some (History.Root fld)
-  else
-    match Hashtbl.find_opt col.box_ids oid with
-    | Some b -> Some (History.Box_field b)
-    | None -> None
+  if oid = col.cells_oid then History.Cell fld
+  else if oid = col.roots_oid then History.Root fld
+  else History.Box_field (Hashtbl.find col.box_ids oid)
 
-let value_of col (v : Heap.value) : History.value option =
+let value_of col (v : Heap.value) =
   match v with
-  | Heap.Vint n -> Some (History.Vi n)
-  | Heap.Vref o -> (
-      match Hashtbl.find_opt col.box_ids o.Heap.oid with
-      | Some b -> Some (History.Vr b)
-      | None -> None)
-  | _ -> None
+  | Heap.Vint n -> History.Vi n
+  | Heap.Vref o -> History.Vr (Hashtbl.find col.box_ids o.Heap.oid)
+  | _ -> raise Not_found
 
-let logical_tid col tid = Option.value (Hashtbl.find_opt col.tids tid) ~default:(-1)
+let as_int (v : Heap.value) = match v with Heap.Vint n -> n | _ -> 0
 
-let push_frame col tid f =
-  let stack = Option.value (Hashtbl.find_opt col.frames tid) ~default:[] in
-  Hashtbl.replace col.frames tid (f :: stack)
+(* A snapshot or read-back value, off-heap values as their integer. *)
+let history_value col v = try value_of col v with Not_found -> History.Vi (as_int v)
 
-let find_frame col tid txid =
-  match Hashtbl.find_opt col.frames tid with
+(* The frame of [txid] on a thread's open-transaction stack. The event
+   almost always concerns the innermost one. *)
+let rec find_frame txid = function
+  | [] -> None
+  | f :: rest -> if f.f_txid = txid then Some f else find_frame txid rest
+
+let rec remove_frame txid = function
+  | [] -> []
+  | f :: rest -> if f.f_txid = txid then rest else f :: remove_frame txid rest
+
+let pop_frame th txid =
+  match find_frame txid th.frames with
   | None -> None
-  | Some stack -> List.find_opt (fun f -> f.f_txid = txid) stack
-
-let pop_frame col tid txid =
-  match Hashtbl.find_opt col.frames tid with
-  | None -> None
-  | Some stack ->
-      let popped = List.find_opt (fun f -> f.f_txid = txid) stack in
-      Hashtbl.replace col.frames tid (List.filter (fun f -> f.f_txid <> txid) stack);
+  | Some _ as popped ->
+      th.frames <- remove_frame txid th.frames;
       popped
 
 let add_raw col node = col.raw_nodes <- node :: col.raw_nodes
+
+let rec mem_loc l = function
+  | [] -> false
+  | l' :: rest -> History.loc_equal l l' || mem_loc l rest
+
+let rec mem_write l = function
+  | [] -> false
+  | (l', _) :: rest -> History.loc_equal l l' || mem_write l rest
 
 (* Split a reversed access list into reads (program order, duplicates
    kept) and last-write-per-location. Reads of a location the node has
    already written observe the node's own pending write (undo-log or
    write-buffer semantics), not another node's version - they impose no
-   inter-node dependency and are dropped. *)
+   inter-node dependency and are dropped. A transaction makes a dozen
+   accesses at most, so membership is a list scan. *)
 let split_accs accs_rev =
-  let own = Hashtbl.create 8 in
-  let reads =
-    List.rev accs_rev
-    |> List.filter_map (fun (l, v, w) ->
-           if w then begin
-             Hashtbl.replace own l ();
-             None
-           end
-           else if Hashtbl.mem own l then None
-           else Some (l, v))
+  let rec reads own = function
+    | [] -> []
+    | (l, v, w) :: rest ->
+        if w then reads (l :: own) rest
+        else if mem_loc l own then reads own rest
+        else (l, v) :: reads own rest
   in
-  let seen = Hashtbl.create 8 in
+  (* latest first: keep a write unless a later one of its location was
+     kept; prepending leaves them ordered by their last write *)
   let writes =
     List.fold_left
-      (fun acc (l, v, w) ->
-        if w && not (Hashtbl.mem seen l) then begin
-          Hashtbl.add seen l ();
-          (l, v) :: acc
-        end
-        else acc)
+      (fun acc (l, v, w) -> if w && not (mem_write l acc) then (l, v) :: acc else acc)
       [] accs_rev
   in
-  (reads, writes)
+  (reads [] (List.rev accs_rev), writes)
 
 let on_event col (ev : Trace.event) =
   col.stamp <- col.stamp + 1;
@@ -140,40 +156,44 @@ let on_event col (ev : Trace.event) =
     match ev with
     | Trace.Access { tid; txid; oid; fld; value; write } -> (
         match (loc_of col ~oid ~fld, value_of col value) with
-        | Some l, Some v ->
+        | exception Not_found -> ()
+        | l, v ->
+            let th = info_of col tid in
             if txid >= 0 then (
-              match find_frame col tid txid with
+              match find_frame txid th.frames with
               | Some f -> f.f_accs <- (l, v, write) :: f.f_accs
               | None -> ())
             else
               add_raw col
                 {
                   History.id = 0;
-                  tid = logical_tid col tid;
+                  tid = th.logical;
                   txn = false;
                   stamp = now;
-                  tag = Hashtbl.find_opt col.tags tid;
+                  tag = th.tag;
                   reads = (if write then [] else [ (l, v) ]);
                   writes = (if write then [ (l, v) ] else []);
-                }
-        | _ -> ())
+                })
     | Trace.Txn_begin { txid; tid } ->
         (* begin_txn takes the mvcc snapshot and emits this event in one
            yield-free stretch, so [now] doubles as the snapshot stamp *)
-        push_frame col tid
+        let th = info_of col tid in
+        th.frames <-
           {
             f_txid = txid;
-            f_tag = Hashtbl.find_opt col.tags tid;
+            f_tag = th.tag;
             f_begin = now;
             f_accs = [];
             f_serial = None;
           }
+          :: th.frames
     | Trace.Txn_serialized { txid; tid } -> (
-        match find_frame col tid txid with
+        match find_frame txid (info_of col tid).frames with
         | Some f -> f.f_serial <- Some now
         | None -> ())
     | Trace.Txn_commit { txid; tid; _ } -> (
-        match pop_frame col tid txid with
+        let th = info_of col tid in
+        match pop_frame th txid with
         | None -> ()
         | Some f ->
             let reads, writes = split_accs f.f_accs in
@@ -190,14 +210,14 @@ let on_event col (ev : Trace.event) =
             add_raw col
               {
                 History.id = 0;
-                tid = logical_tid col tid;
+                tid = th.logical;
                 txn = true;
                 stamp;
                 tag = f.f_tag;
                 reads;
                 writes;
               })
-    | Trace.Txn_abort { txid; tid; _ } -> ignore (pop_frame col tid txid)
+    | Trace.Txn_abort { txid; tid; _ } -> ignore (pop_frame (info_of col tid) txid)
     | _ -> ()
 
 let finalize_history col =
@@ -234,10 +254,8 @@ let check_level (cfg : Config.t) =
   | Config.Mvcc -> cfg.Config.isolation
   | Config.Eager | Config.Lazy -> Config.Serializable
 
-let set_tag ctx ~thread ~step part =
-  Hashtbl.replace ctx.col.tags (Sched.self ()) { History.thread; step; part }
-
-let as_int (v : Heap.value) = match v with Heap.Vint n -> n | _ -> 0
+let set_tag ctx ~thread:t ~step part =
+  (info_of ctx.col (Sched.self ())).tag <- Some { History.thread = t; step; part }
 
 let cells_of ctx = Option.get ctx.cells
 let roots_of ctx = Option.get ctx.roots
@@ -314,9 +332,7 @@ let exec_step ctx ~thread acc step_idx (step : Prog.step) =
                      thread;
                      step = step_idx;
                      expected;
-                     seen =
-                       Option.value (value_of ctx.col v)
-                         ~default:(History.Vi (as_int v));
+                     seen = history_value ctx.col v;
                    }))
 
 let thread_body ctx thread steps () =
@@ -325,7 +341,7 @@ let thread_body ctx thread steps () =
 
 let snapshot_final ctx =
   let col = ctx.col in
-  let conv v = Option.value (value_of col v) ~default:(History.Vi (as_int v)) in
+  let conv = history_value col in
   let cells = cells_of ctx and roots = roots_of ctx in
   let fin = ref [] in
   for i = ctx.prog.Prog.ncells - 1 downto 0 do
@@ -374,7 +390,7 @@ let main ctx () =
     List.mapi
       (fun i steps ->
         let t = Sched.spawn ~name:(Printf.sprintf "T%d" i) (thread_body ctx i steps) in
-        Hashtbl.replace col.tids t i;
+        (info_of col t).logical <- i;
         t)
       prog.Prog.threads
   in
@@ -411,7 +427,7 @@ let verdict_of_run ctx (result : Sched.result) =
 let run ?policy ?(max_steps = default_fuel) ?tee ~cfg prog =
   let ctx =
     {
-      col = create_collector ();
+      col = create_collector ~nthreads:(Prog.nthreads prog + 1);
       prog;
       level = check_level cfg;
       cells = None;
@@ -446,7 +462,7 @@ let anomalous_outcome s = String.length s > 0 && s.[0] = 'A'
 let explore_make ~cfg ~first prog () =
     let ctx =
       {
-        col = create_collector ();
+        col = create_collector ~nthreads:(Prog.nthreads prog + 1);
         prog;
         level = check_level cfg;
         cells = None;

@@ -127,6 +127,9 @@ val verdict_equal : verdict -> verdict -> bool
 
 (** {1 Printing and serialization} *)
 
+val loc_equal : loc -> loc -> bool
+(** Structural equality on locations, without the polymorphic compare. *)
+
 val loc_to_string : loc -> string
 val value_to_string : value -> string
 val pp_loc : Format.formatter -> loc -> unit

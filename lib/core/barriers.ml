@@ -6,10 +6,9 @@ module Mvcc = Stm_mvcc.Mvcc
    (checked by the test suite). *)
 let emit_barrier op path =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Barrier
-           { tid = Sched.self (); site = Site.current (); op; path }))
+    Trace.emit_debug
+      (Trace.Barrier
+         { tid = Sched.self (); site = Site.current (); op; path })
 
 (* Same convention as [Txn.observe_blocked]: the first blocked record
    observation in a retry loop is a plain read, later ones are futile

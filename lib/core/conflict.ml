@@ -36,12 +36,11 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
       in
       stats.Stats.backoff_cycles <- stats.Stats.backoff_cycles + delay;
       if Trace.enabled_at Trace.Debug then
-        Trace.emit ~level:Trace.Debug
-          (lazy
-            (Trace.Backoff
-               {
-                 tid = (if Sched.running () then Sched.self () else -1);
-                 attempt;
-                 delay;
-               }));
+        Trace.emit_debug
+          (Trace.Backoff
+             {
+               tid = (if Sched.running () then Sched.self () else -1);
+               attempt;
+               delay;
+             });
       Sched.pause delay

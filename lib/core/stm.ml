@@ -81,17 +81,16 @@ let publish obj =
    oracle reconstructs. *)
 let emit_nontxn_access (obj : Heap.obj) fld value ~write =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Access
-           {
-             tid = Sched.self ();
-             txid = -1;
-             oid = obj.Heap.oid;
-             fld;
-             value;
-             write;
-           }))
+    Trace.emit_debug
+      (Trace.Access
+         {
+           tid = Sched.self ();
+           txid = -1;
+           oid = obj.Heap.oid;
+           fld;
+           value;
+           write;
+         })
 
 let nontxn_read sys (obj : Heap.obj) fld =
   let cfg = Txn.cfg sys.ctx in
@@ -145,15 +144,14 @@ let write obj fld v =
 
 let emit_elided op =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Barrier
-           {
-             tid = Sched.self ();
-             site = Site.current ();
-             op;
-             path = Trace.Path_elided;
-           }))
+    Trace.emit_debug
+      (Trace.Barrier
+         {
+           tid = Sched.self ();
+           site = Site.current ();
+           op;
+           path = Trace.Path_elided;
+         })
 
 let read_nobarrier obj fld =
   let sys = get () in
@@ -197,8 +195,8 @@ let backoff_wait sys attempt =
   (Txn.stats sys.ctx).Stats.backoff_cycles <-
     (Txn.stats sys.ctx).Stats.backoff_cycles + delay;
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy (Trace.Backoff { tid; attempt; delay }));
+    Trace.emit_debug
+      (Trace.Backoff { tid; attempt; delay });
   Sched.pause delay
 
 (* Has this block burned through its whole restart budget? [n] is the

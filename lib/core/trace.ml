@@ -83,6 +83,12 @@ let emit ?(level = Info) ev =
       deliver (Lazy.force ev)
   | Some _ | None -> ()
 
+(* The strict entry point of the guarded [Debug] sites. Under
+   [enabled_at Debug] the installed sink's filter passes every level, so
+   there is nothing left to decide and no payload worth deferring: a
+   [lazy] would be allocated and forced on the spot. *)
+let emit_debug ev = match !sink with Some { deliver; _ } -> deliver ev | None -> ()
+
 let enabled () = !sink <> None
 
 let enabled_at level =

@@ -5,10 +5,11 @@
     [Debug] level — per-access barrier, backoff, and validation events.
     With no sink installed the emit path is a branch on [None], cheap
     enough to leave compiled into the hot paths. Every [Debug] emit site
-    is guarded by [if enabled_at Debug then emit ...]: without flambda a
-    [lazy] payload with free variables is a closure allocated before
-    {!emit} runs, so the guard is what keeps an untraced run, and a run
-    with a sink at [Info], from allocating on the access fast paths.
+    is written [if enabled_at Debug then emit_debug ev]: the guard keeps
+    an untraced run, and a run with a sink at [Info], from building the
+    payload on the access fast paths, and under the guard the payload is
+    always delivered, so it is built strictly rather than as a [lazy]
+    closure that would be forced at once. [Info] sites use {!emit}.
 
     The [stm_run --trace] CLI installs a printing sink; [--trace-out] and
     [--profile-barriers] install the {!Stm_obs} recorder and per-site
@@ -126,9 +127,13 @@ val set_sink : ?level:level -> (event -> unit) option -> unit
 val emit : ?level:level -> event Lazy.t -> unit
 (** Deliver the event to the sink if one is installed and accepts
     [level] (default [Info]); the payload is forced only then. Emitters
-    must pass the same level {!event_level} assigns to the payload, and
-    [Debug] emitters must sit under an {!enabled_at} guard so that the
-    lazy payload is not even allocated when nobody listens. *)
+    must pass the same level {!event_level} assigns to the payload.
+    Guarded [Debug] sites use {!emit_debug} instead. *)
+
+val emit_debug : event -> unit
+(** Deliver a [Debug] event to the sink, strictly. Valid only under an
+    [enabled_at Debug] guard, where the sink's level filter always
+    passes; with no sink installed the event is dropped. *)
 
 val enabled : unit -> bool
 

@@ -518,8 +518,8 @@ let validate ctx t =
         end
   in
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy (Trace.Validation { txid = t.txid; tid = Sched.self (); ok }));
+    Trace.emit_debug
+      (Trace.Validation { txid = t.txid; tid = Sched.self (); ok });
   ok
 
 (* Timestamp extension: a read observed a granule stamped newer than
@@ -611,20 +611,19 @@ let cm_resolve ctx t ~attempt ~writer obj =
       }
   in
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Cm_decision
-           {
-             tid = Sched.self ();
-             txid = t.txid;
-             policy = Stm_cm.Cm.name ctx.cm;
-             decision = Stm_cm.Cm.string_of_decision decision;
-             owner = Option.value ~default:(-1) owner;
-             delay =
-               (match decision with
-               | Stm_cm.Cm.Wait d | Stm_cm.Cm.Wound { delay = d; _ } -> d
-               | Stm_cm.Cm.Abort_self -> 0);
-           }));
+    Trace.emit_debug
+      (Trace.Cm_decision
+         {
+           tid = Sched.self ();
+           txid = t.txid;
+           policy = Stm_cm.Cm.name ctx.cm;
+           decision = Stm_cm.Cm.string_of_decision decision;
+           owner = Option.value ~default:(-1) owner;
+           delay =
+             (match decision with
+             | Stm_cm.Cm.Wait d | Stm_cm.Cm.Wound { delay = d; _ } -> d
+             | Stm_cm.Cm.Abort_self -> 0);
+         });
   match decision with
   | Stm_cm.Cm.Abort_self ->
       t.abort_cause <- Trace.Cause_conflict;
@@ -952,22 +951,20 @@ let mvcc_end_snapshot ctx t =
 
 let emit_txn_access op =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Barrier
-           {
-             tid = Sched.self ();
-             site = Site.current ();
-             op;
-             path = Trace.Path_fired;
-           }))
+    Trace.emit_debug
+      (Trace.Barrier
+         {
+           tid = Sched.self ();
+           site = Site.current ();
+           op;
+           path = Trace.Path_fired;
+         })
 
 let emit_access ~txid (obj : Heap.obj) fld value ~write =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy
-        (Trace.Access
-           { tid = Sched.self (); txid; oid = obj.Heap.oid; fld; value; write }))
+    Trace.emit_debug
+      (Trace.Access
+         { tid = Sched.self (); txid; oid = obj.Heap.oid; fld; value; write })
 
 let txn_read ctx t obj fld =
   ctx.stats.Stats.txn_reads <- ctx.stats.Stats.txn_reads + 1;
@@ -1009,8 +1006,8 @@ let release_all ctx t =
 
 let emit_serialized t =
   if Trace.enabled_at Trace.Debug then
-    Trace.emit ~level:Trace.Debug
-      (lazy (Trace.Txn_serialized { txid = t.txid; tid = Sched.self () }))
+    Trace.emit_debug
+      (Trace.Txn_serialized { txid = t.txid; tid = Sched.self () })
 
 let commit ctx t =
   check_wounded t;

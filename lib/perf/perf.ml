@@ -183,6 +183,52 @@ let fuzz_campaign =
   let campaign = List.hd Stm_check.Fuzz.clean_campaigns in
   fun () -> ignore (Stm_check.Fuzz.run_campaign budget campaign)
 
+(* Three threads yielding under the seeded [Random] policy, each yield
+   followed by a 40-cycle pause that [Random] spreads over three 16-cycle
+   quanta: the yield fast path (a pick that re-draws the yielding thread
+   returns without an effect) and, when the draw names another thread,
+   the effect round trip. *)
+let sched_yield_random () =
+  let open Stm_runtime in
+  ignore
+    (Sched.run ~policy:(Sched.Random 11) (fun () ->
+         let ts =
+           List.init 3 (fun _ ->
+               Sched.spawn (fun () ->
+                   for _ = 1 to 64 do
+                     Sched.yield ();
+                     Sched.pause 40
+                   done))
+         in
+         List.iter Sched.join ts))
+
+(* The serializability oracle alone ([History.check]: conflict graph,
+   final state, sequential replay) over the histories of six programs x
+   two schedules of the first clean campaign, collected once. *)
+let oracle_check =
+  let histories =
+    lazy
+      (let open Stm_check in
+       let campaign = List.hd Fuzz.clean_campaigns in
+       let gcfg = Gen.default campaign.Fuzz.profile in
+       List.concat_map
+         (fun p ->
+           let prog = Gen.generate gcfg ~seed:(7 + p) in
+           List.filter_map
+             (fun s ->
+               let seed = ((7 + p) * 8191) + s in
+               let cfg = Combo.to_config ~cm_seed:seed campaign.Fuzz.combo in
+               Option.map
+                 (fun h -> (prog, h))
+                 (snd (Exec.run ~policy:(Stm_runtime.Sched.Random seed) ~cfg prog)))
+             [ 0; 1 ])
+         (List.init 6 Fun.id))
+  in
+  fun () ->
+    List.iter
+      (fun (prog, h) -> ignore (Stm_check.History.check prog h))
+      (Lazy.force histories)
+
 (* Two threads incrementing one public counter: the conflict/abort event
    shape the diagnosis layer exists for. Measured once bare and once with
    the full pipeline (heatmap + causality + flight recorder) attached as
@@ -249,6 +295,8 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("explore/dpor-cell", dpor_cell);
     ("fig18/tsp-4t", fig18_tsp);
     ("fuzz/clean-campaign", fuzz_campaign);
+    ("sched/yield-random", sched_yield_random);
+    ("oracle/check", oracle_check);
     ("diag/churn-off", diag_churn cfg);
     ("diag/churn-on", diag_churn_on cfg);
     ("store/read-heavy", store_bench store_mode Stm_store.Profile.read_heavy);

@@ -53,6 +53,9 @@ type engine = {
   mutable current : thread;
   policy : policy;
   rng : Det_rng.t option;
+  mutable parked : int;
+      (* Random: the pick index a yield's fast path drew for the pick it
+         then handed to [loop], -1 when none is pending *)
   mutable rr_cursor : int;
   mutable steps : int;
   max_steps : int;
@@ -188,8 +191,21 @@ let finish e t =
   t.joiners <- []
 
 (* Run a fresh thread body under the scheduler's effect handler. Returns
-   when the thread yields, suspends, or finishes. *)
+   when the thread yields, suspends, or finishes. The handler's two
+   answers are built once per thread, not once per effect. *)
 let start_body e t body =
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.cont <- Some k;
+        make_runnable e t)
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.state <- Suspended;
+        t.cont <- Some k)
+  in
   match_with body ()
     {
       retc = (fun () -> finish e t);
@@ -200,16 +216,8 @@ let start_body e t body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.cont <- Some k;
-                  make_runnable e t)
-          | Suspend ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.state <- Suspended;
-                  t.cont <- Some k)
+          | Yield -> (on_yield : ((a, unit) continuation -> unit) option)
+          | Suspend -> on_suspend
           | _ -> None);
     }
 
@@ -221,19 +229,13 @@ let runnables e =
   done;
   !acc
 
-(* The k-th runnable thread in tid order: [Random]'s pick, replacing the
-   old [List.nth ready k] without building the list. *)
-let kth_runnable e k =
-  let i = ref 0 and seen = ref (-1) and found = ref None in
-  while !found = None do
-    let t = e.by_tid.(!i) in
-    if t.state = Runnable then begin
-      incr seen;
-      if !seen = k then found := Some t
-    end;
-    incr i
-  done;
-  Option.get !found
+(* The k-th runnable thread in tid order, searching from tid [i]:
+   [Random]'s pick. *)
+let rec kth_runnable e k i =
+  let t = e.by_tid.(i) in
+  if t.state <> Runnable then kth_runnable e k (i + 1)
+  else if k = 0 then t
+  else kth_runnable e (k - 1) (i + 1)
 
 let pick e =
   if e.nrunnable = 0 then None
@@ -257,8 +259,12 @@ let pick e =
         e.rr_cursor <- chosen;
         Some (thread_of e chosen)
     | Random _ ->
-        let rng = Option.get e.rng in
-        Some (kth_runnable e (Det_rng.int rng e.nrunnable))
+        let k =
+          if e.parked >= 0 then e.parked
+          else Det_rng.int (Option.get e.rng) e.nrunnable
+        in
+        e.parked <- -1;
+        Some (kth_runnable e k 0)
     | Min_clock -> Some (heap_pop e)
     | Controlled choose ->
         let ready = runnables e in
@@ -313,6 +319,7 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       current = t0;
       policy;
       rng;
+      parked = -1;
       rr_cursor = -1;
       steps = 0;
       max_steps;
@@ -348,22 +355,45 @@ let spawn ?(name = "thread") body =
   let e = get_engine () in
   (new_thread e name body).tid
 
+(* Runnable threads with a tid below [tid]: the current thread's index
+   in [kth_runnable]'s order once the slow path has re-enqueued it. *)
+let runnable_below e tid =
+  let n = ref 0 in
+  for i = 0 to tid - 1 do
+    if e.by_tid.(i).state = Runnable then incr n
+  done;
+  !n
+
 (* Would the scheduler, right now, hand the CPU straight back to the
-   yielding thread? Only [Min_clock] answers without a callback or an RNG
-   draw: its pick is the heap minimum on (clock, tid), a total order, so
-   if the current thread's key is below the heap root (or the heap is
-   empty) the push-then-pop of the slow path returns it again. The fast
-   path then only has to count the scheduling decision, and must not run
-   when the fuel check at the top of [loop] would stop instead.
-   [Random], [Round_robin] and [Controlled] always take the slow path:
-   their picks consume RNG state, advance a cursor or are explorer
-   choice points. *)
+   yielding thread? The fast path then only has to count the scheduling
+   decision, and must not run when the fuel check at the top of [loop]
+   would stop instead (no pick, hence no draw, happens there).
+   - [Min_clock]: the pick is the heap minimum on (clock, tid), a total
+     order, so if the current thread's key is below the heap root (or
+     the heap is empty) the push-then-pop of the slow path returns it.
+   - [Random]: the slow path re-enqueues the current thread and draws
+     [k] below [nrunnable + 1]; the current thread is then the k-th
+     runnable one iff [k] counts exactly the runnable tids below it.
+     The fast path makes that same draw here. If it names another
+     thread, the index is parked and the effect performed: [pick]
+     consumes the parked index instead of drawing, so the RNG stream,
+     the picks, the switch count and the fuel boundary are the slow
+     path's.
+   [Round_robin] and [Controlled] always take the slow path: their picks
+   advance a cursor or are explorer choice points. *)
 let repicks_current e =
+  e.steps < e.max_steps
+  &&
   match e.policy with
-  | Min_clock ->
-      e.steps < e.max_steps
-      && (e.heap_len = 0 || heap_less e.current e.heap.(0))
-  | Round_robin | Random _ | Controlled _ -> false
+  | Min_clock -> e.heap_len = 0 || heap_less e.current e.heap.(0)
+  | Random _ ->
+      let k = Det_rng.int (Option.get e.rng) (e.nrunnable + 1) in
+      if k = runnable_below e e.current.tid then true
+      else begin
+        e.parked <- k;
+        false
+      end
+  | Round_robin | Controlled _ -> false
 
 let yield_engine e =
   if repicks_current e then e.steps <- e.steps + 1 else perform Yield
@@ -392,13 +422,13 @@ let pause n =
   | Random _ ->
       let quantum = 16 in
       let rec go remaining =
-        if remaining <= 0 then ()
-        else (
+        if remaining > 0 then begin
           e.current.clock <- e.current.clock + min quantum remaining;
-          perform Yield;
-          go (remaining - quantum))
+          yield_engine e;
+          go (remaining - quantum)
+        end
       in
-      if n <= 0 then perform Yield else go n
+      if n <= 0 then yield_engine e else go n
   | Round_robin | Min_clock | Controlled _ ->
       e.current.clock <- e.current.clock + max n 0;
       yield_engine e

@@ -59,10 +59,12 @@ val join : tid -> unit
 val yield : unit -> unit
 (** Preemption point. Under {!Min_clock} the scheduler switches only if
     another runnable thread comes first in (clock, tid) order: a smaller
-    clock, or the same clock and a smaller tid. A yield after
-    which the scheduler would pick the yielding thread again returns
-    without a context switch, but still counts as one scheduling
-    decision in [switches] and against [max_steps]. *)
+    clock, or the same clock and a smaller tid. Under {!Min_clock} and
+    {!Random}, a yield after which the scheduler would pick the yielding
+    thread again returns without a context switch, but still counts as
+    one scheduling decision in [switches] and against [max_steps]; under
+    {!Random} it makes the pick's RNG draw itself, so the seeded pick
+    sequence is unchanged. *)
 
 val self : unit -> tid
 

@@ -687,6 +687,638 @@ let test_publish_safe_configs () =
       (Stm_core.Config.Lazy, Combo.Quiesce);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Oracle equivalence                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The table-based oracle the array-based one replaced, kept verbatim as
+   the reference: the same verdicts, down to which cycle or mismatch is
+   reported, must come out of both on real and mutated histories. *)
+module Old_oracle = struct
+  open History
+
+  exception Found of anomaly
+
+  (* Version order per location: committed writes sorted by stamp, preceded
+     by the initial value when the location has one. Writer id -1 stands
+     for "initial state". Also returns the (loc, value) -> version-index
+     map; values are unique per location because tokens are unique per
+     static occurrence and each occurrence commits at most once. *)
+  let build_versions (h : history) nodes =
+    let writes_by_loc : (loc, (int * int * value) list ref) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    Array.iter
+      (fun nd ->
+        List.iter
+          (fun (l, v) ->
+            let r =
+              match Hashtbl.find_opt writes_by_loc l with
+              | Some r -> r
+              | None ->
+                  let r = ref [] in
+                  Hashtbl.add writes_by_loc l r;
+                  r
+            in
+            r := (nd.stamp, nd.id, v) :: !r)
+          nd.writes)
+      nodes;
+    let versions : (loc, (int * value) array) Hashtbl.t = Hashtbl.create 64 in
+    let add_versions l ws =
+      let ws = List.sort (fun (s1, _, _) (s2, _, _) -> compare s1 s2) ws in
+      let ws = List.map (fun (_, id, v) -> (id, v)) ws in
+      let ws =
+        match List.assoc_opt l h.init with
+        | Some iv -> (-1, iv) :: ws
+        | None -> ws
+      in
+      Hashtbl.replace versions l (Array.of_list ws)
+    in
+    Hashtbl.iter (fun l r -> add_versions l !r) writes_by_loc;
+    List.iter
+      (fun (l, _) ->
+        if not (Hashtbl.mem versions l) then add_versions l [])
+      h.init;
+    let vindex : (loc * value, int) Hashtbl.t = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun l vs -> Array.iteri (fun i (_, v) -> Hashtbl.replace vindex (l, v) i) vs)
+      versions;
+    (versions, vindex)
+
+  (* Final state: every snapshotted location must hold its last committed
+     version (shared by the serializable and snapshot-isolation checks).
+     Raises [Found]. *)
+  let check_final (h : history) versions =
+    Hashtbl.iter
+      (fun l vs ->
+        match List.assoc_opt l h.final with
+        | None -> ()  (* location not snapshotted; nothing to check *)
+        | Some actual ->
+            let expected = snd vs.(Array.length vs - 1) in
+            if actual <> expected then
+              raise
+                (Found
+                   (Final_mismatch
+                      { floc = l; expected = Some expected; actual = Some actual })))
+      versions
+
+  let check_graph (h : history) : anomaly option =
+    let nodes = Array.of_list h.nodes in
+    let n = Array.length nodes in
+    Array.iteri (fun i nd -> assert (nd.id = i)) nodes;
+    let versions, vindex = build_versions h nodes in
+    let edges = ref [] in
+    let adj = Array.make n [] in
+    let add_edge src dst kind eloc =
+      if src <> dst && src >= 0 && dst >= 0 then begin
+        let e = { src; dst; kind; eloc } in
+        edges := e :: !edges;
+        adj.(src) <- e :: adj.(src)
+      end
+    in
+    try
+      (* ww: consecutive committed versions. *)
+      Hashtbl.iter
+        (fun l vs ->
+          for i = 0 to Array.length vs - 2 do
+            add_edge (fst vs.(i)) (fst vs.(i + 1)) Ww (Some l)
+          done)
+        versions;
+      (* wr and rw from each observed read. *)
+      Array.iter
+        (fun nd ->
+          List.iter
+            (fun (l, v) ->
+              match Hashtbl.find_opt vindex (l, v) with
+              | None -> raise (Found (Dirty_read { node = nd.id; rloc = l; seen = v }))
+              | Some i ->
+                  let vs = Hashtbl.find versions l in
+                  let writer = fst vs.(i) in
+                  add_edge writer nd.id Wr (Some l);
+                  if i + 1 < Array.length vs then
+                    add_edge nd.id (fst vs.(i + 1)) Rw (Some l))
+            nd.reads)
+        nodes;
+      (* Program order within each logical thread. *)
+      let last_of_tid : (int, int) Hashtbl.t = Hashtbl.create 8 in
+      Array.iter
+        (fun nd ->
+          (match Hashtbl.find_opt last_of_tid nd.tid with
+          | Some prev -> add_edge prev nd.id Po None
+          | None -> ());
+          Hashtbl.replace last_of_tid nd.tid nd.id)
+        nodes;
+      check_final h versions;
+      (* Acyclicity. Colors: 0 white, 1 gray, 2 black. *)
+      let color = Array.make n 0 in
+      let rec dfs path v =
+        color.(v) <- 1;
+        List.iter
+          (fun e ->
+            if color.(e.dst) = 1 then begin
+              (* Back edge: the cycle is [e] plus the path suffix from
+                 e.dst back to v. *)
+              let rec suffix acc = function
+                | [] -> acc
+                | e' :: rest ->
+                    if e'.src = e.dst then e' :: acc else suffix (e' :: acc) rest
+              in
+              raise (Found (Cycle (suffix [ e ] path)))
+            end
+            else if color.(e.dst) = 0 then dfs (e :: path) e.dst)
+          adj.(v);
+        color.(v) <- 2
+      in
+      for v = 0 to n - 1 do
+        if color.(v) = 0 then dfs [] v
+      done;
+      None
+    with Found a -> Some a
+
+  (* ------------------------------------------------------------------ *)
+  (* Differential replay                                                 *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Replays the committed nodes in serialization order against a
+     sequential reference interpreter of the program, then diffs the
+     reference heap against the observed final state. Catches divergences
+     the per-location graph check cannot see (e.g. wrong data payloads
+     flowing through accumulators). *)
+
+  let differential (prog : Prog.t) (h : history) : anomaly option =
+    let heap : (loc, value) Hashtbl.t = Hashtbl.create 64 in
+    List.iter (fun (l, v) -> Hashtbl.replace heap l v) h.init;
+    let nthreads = Prog.nthreads prog in
+    let accs = Array.make (max 1 nthreads) 0 in
+    let priv = Array.make (max 1 nthreads) None in
+    let as_int = function Vi n -> n | Vr _ -> 0 in
+    let load l = Option.value (Hashtbl.find_opt heap l) ~default:(Vi 0) in
+    let exception Diverged of anomaly in
+    let apply_op thread step idx op =
+      match (op : Prog.op) with
+      | Prog.Read c -> accs.(thread) <- Prog.combine accs.(thread) (as_int (load (Cell c)))
+      | Prog.Write (c, e) ->
+          let token = Prog.op_token ~thread ~step ~op:idx in
+          Hashtbl.replace heap (Cell c)
+            (Vi (Prog.value_of e ~token ~acc:accs.(thread)))
+      | Prog.Box_read s -> (
+          match load (Root s) with
+          | Vr b -> accs.(thread) <- Prog.combine accs.(thread) (as_int (load (Box_field b)))
+          | _ -> ())
+      | Prog.Box_write s -> (
+          match load (Root s) with
+          | Vr b ->
+              let token = Prog.op_token ~thread ~step ~op:idx in
+              Hashtbl.replace heap (Box_field b)
+                (Vi (Prog.value_of Prog.Tok_acc ~token ~acc:accs.(thread)))
+          | _ -> ())
+    in
+    let step_of thread step =
+      match List.nth_opt prog.Prog.threads thread with
+      | None -> None
+      | Some steps -> List.nth_opt steps step
+    in
+    let replay_node (nd : node) =
+      match nd.tag with
+      | None -> ()
+      | Some { thread; step; part } -> (
+          match (part, step_of thread step) with
+          | Body, Some (Prog.Atomic ops) -> List.iteri (apply_op thread step) ops
+          | Body, Some (Prog.Plain op) -> apply_op thread step 0 op
+          | Body, Some (Prog.Publish s) ->
+              Hashtbl.replace heap (Root s) (Vr (New_box { thread; step }))
+          | Pub_init, Some (Prog.Publish _) ->
+              Hashtbl.replace heap
+                (Box_field (New_box { thread; step }))
+                (Vi (Prog.pub_token ~thread ~step * Prog.token_scale))
+          | Body, Some (Prog.Privatize s) -> (
+              match load (Root s) with
+              | Vr b ->
+                  Hashtbl.replace heap (Root s)
+                    (Vi (Prog.tomb_token ~thread ~step * Prog.token_scale));
+                  priv.(thread) <- Some b
+              | _ -> priv.(thread) <- None)
+          | Priv_write, Some (Prog.Privatize _) -> (
+              match priv.(thread) with
+              | Some b ->
+                  Hashtbl.replace heap (Box_field b)
+                    (Vi (Prog.priv_token ~thread ~step * Prog.token_scale))
+              | None ->
+                  raise
+                    (Diverged
+                       (Control_divergence
+                          {
+                            thread;
+                            step;
+                            detail =
+                              "execution privatized a box but the sequential replay \
+                               found the slot already detached";
+                          })))
+          | Priv_read, Some (Prog.Privatize _) -> (
+              match priv.(thread) with
+              | Some b ->
+                  accs.(thread) <- Prog.combine accs.(thread) (as_int (load (Box_field b)))
+              | None -> ())
+          | _, None ->
+              raise
+                (Diverged
+                   (Control_divergence
+                      { thread; step; detail = "node refers to a step outside the program" }))
+          | _, Some _ ->
+              raise
+                (Diverged
+                   (Control_divergence
+                      { thread; step; detail = "node part does not match the step kind" })))
+    in
+    try
+      List.iter replay_node h.nodes;
+      List.iter
+        (fun (l, actual) ->
+          let replayed = Hashtbl.find_opt heap l in
+          let same =
+            match replayed with Some r -> r = actual | None -> actual = Vi 0
+          in
+          if not same then
+            raise (Diverged (Divergence { dloc = l; replayed; actual = Some actual })))
+        h.final;
+      None
+    with Diverged a -> Some a
+
+  (* ------------------------------------------------------------------ *)
+  (* Combined verdict                                                    *)
+  (* ------------------------------------------------------------------ *)
+
+  let check prog h =
+    match check_graph h with
+    | Some a -> Anomalous a
+    | None -> (
+        match differential prog h with Some a -> Anomalous a | None -> Serializable)
+
+  (* ------------------------------------------------------------------ *)
+  (* Snapshot-isolation certification                                    *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Certify the weaker contract: dirty reads, fractured reads, lost
+     updates, and final-state mismatches are rejected; dependency cycles
+     are not checked (write skew and long fork are admitted), and there is
+     no sequential differential replay (an SI execution need not have
+     one). Reads already exclude a node's own-write observations (see
+     Exec.split_accs), so every recorded read names a foreign version. *)
+  let check_si_graph (h : history) : anomaly option =
+    let nodes = Array.of_list h.nodes in
+    Array.iteri (fun i nd -> assert (nd.id = i)) nodes;
+    let versions, vindex = build_versions h nodes in
+    try
+      Array.iter
+        (fun nd ->
+          let seen : (loc, value) Hashtbl.t = Hashtbl.create 4 in
+          List.iter
+            (fun (l, v) ->
+              if not (Hashtbl.mem vindex (l, v)) then
+                raise (Found (Dirty_read { node = nd.id; rloc = l; seen = v }));
+              match Hashtbl.find_opt seen l with
+              | Some v0 when v0 <> v ->
+                  raise
+                    (Found
+                       (Fractured_read
+                          { node = nd.id; floc = l; first = v0; second = v }))
+              | Some _ -> ()
+              | None -> Hashtbl.add seen l v)
+            nd.reads;
+          (* first-committer-wins certificate: a read-modify-write must
+             install the version directly after the one it read *)
+          List.iter
+            (fun (l, wv) ->
+              match (Hashtbl.find_opt seen l, Hashtbl.find_opt vindex (l, wv)) with
+              | Some rv, Some j -> (
+                  match Hashtbl.find_opt vindex (l, rv) with
+                  | Some i when j <> i + 1 ->
+                      raise
+                        (Found
+                           (Lost_update
+                              { node = nd.id; uloc = l; read_idx = i; write_idx = j }))
+                  | Some _ | None -> ())
+              | _ -> ())
+            nd.writes)
+        nodes;
+      check_final h versions;
+      None
+    with Found a -> Some a
+
+  let check_si h =
+    match check_si_graph h with Some a -> Anomalous a | None -> Serializable
+
+  let certify prog h =
+    match check prog h with
+    | Serializable | Inconclusive _ -> Cert_serializable
+    | Anomalous a -> (
+        match check_si_graph h with
+        | None -> Cert_snapshot_only a
+        | Some si_a -> Cert_anomalous si_a)
+end
+
+let certification_json = function
+  | History.Cert_serializable -> "serializable"
+  | History.Cert_snapshot_only a ->
+      "snapshot-only " ^ Stm_obs.Json.to_string (History.anomaly_to_json a)
+  | History.Cert_anomalous a ->
+      "anomalous " ^ Stm_obs.Json.to_string (History.anomaly_to_json a)
+
+let verdict_json v = Stm_obs.Json.to_string (History.verdict_to_json v)
+
+(* A real fuzz history: any profile on any combo (weak ones included, so
+   genuine anomalies turn up), at a random schedule. *)
+let real_history ~prog_seed ~sched_seed ~combo_idx ~profile_idx =
+  let combos = Array.of_list Combo.all in
+  let profiles = [| Gen.Txn_only; Gen.Mixed; Gen.Handoff |] in
+  let prog =
+    Gen.generate (Gen.default profiles.(profile_idx mod 3)) ~seed:prog_seed
+  in
+  let cmb = combos.(combo_idx mod Array.length combos) in
+  let cfg = Combo.to_config ~cm_seed:sched_seed cmb in
+  match
+    snd
+      (Exec.run ~policy:(Stm_runtime.Sched.Random sched_seed)
+         ~max_steps:Exec.default_fuel ~cfg prog)
+  with
+  | Some h -> Some (prog, h)
+  | None -> None
+
+let renumber nodes = List.mapi (fun i (n : History.node) -> { n with History.id = i }) nodes
+
+let pick_nth l k = List.nth l (k mod List.length l)
+
+(* Every value the history wrote to, or started [l] with. *)
+let values_at (h : History.history) l =
+  List.filter_map (fun (l', v) -> if l' = l then Some v else None) h.History.init
+  @ List.concat_map
+      (fun (n : History.node) ->
+        List.filter_map (fun (l', v) -> if l' = l then Some v else None) n.History.writes)
+      h.History.nodes
+
+type mutation = Unchanged | Drop_node | Swap_stamps | Retarget_read | Change_final
+
+let mutation_name = function
+  | Unchanged -> "unchanged"
+  | Drop_node -> "drop-node"
+  | Swap_stamps -> "swap-stamps"
+  | Retarget_read -> "retarget-read"
+  | Change_final -> "change-final"
+
+let mutate m (a, b) (h : History.history) =
+  let nodes = h.History.nodes in
+  match m with
+  | Unchanged -> h
+  | _ when nodes = [] -> h
+  | Drop_node ->
+      let k = a mod List.length nodes in
+      { h with History.nodes = renumber (List.filteri (fun i _ -> i <> k) nodes) }
+  | Swap_stamps ->
+      let n = List.length nodes in
+      let i = a mod n and j = b mod n in
+      let si = (List.nth nodes i).History.stamp and sj = (List.nth nodes j).History.stamp in
+      {
+        h with
+        History.nodes =
+          List.mapi
+            (fun k (nd : History.node) ->
+              if k = i then { nd with History.stamp = sj }
+              else if k = j then { nd with History.stamp = si }
+              else nd)
+            nodes;
+      }
+  | Retarget_read -> (
+      let readers = List.filter (fun (n : History.node) -> n.History.reads <> []) nodes in
+      match readers with
+      | [] -> h
+      | _ ->
+          let victim = pick_nth readers a in
+          let r = b mod List.length victim.History.reads in
+          let l, _ = List.nth victim.History.reads r in
+          (* another version of the same location, or (odd b) a value of
+             a different location *)
+          let candidates =
+            if b land 1 = 0 then values_at h l
+            else List.concat_map (fun (l', _) -> values_at h l') h.History.init
+          in
+          let v' = if candidates = [] then History.Vi 1 else pick_nth candidates (b / 2) in
+          {
+            h with
+            History.nodes =
+              List.map
+                (fun (nd : History.node) ->
+                  if nd.History.id <> victim.History.id then nd
+                  else
+                    {
+                      nd with
+                      History.reads =
+                        List.mapi (fun k (l, v) -> if k = r then (l, v') else (l, v)) nd.History.reads;
+                    })
+                nodes;
+          })
+  | Change_final -> (
+      match h.History.final with
+      | [] -> h
+      | final ->
+          let k = a mod List.length final in
+          let l, _ = List.nth final k in
+          let candidates = values_at h l in
+          let v' =
+            if candidates = [] || b land 3 = 0 then History.Vi (b + 1)
+            else pick_nth candidates b
+          in
+          {
+            h with
+            History.final = List.mapi (fun i (l, v) -> if i = k then (l, v') else (l, v)) final;
+          })
+
+let oracle_hits : (string, int) Hashtbl.t = Hashtbl.create 16
+
+let note_hit v =
+  let k =
+    match v with
+    | History.Anomalous a -> History.anomaly_kind a
+    | History.Serializable -> "serializable"
+    | History.Inconclusive _ -> "inconclusive"
+  in
+  Hashtbl.replace oracle_hits k (1 + Option.value (Hashtbl.find_opt oracle_hits k) ~default:0)
+
+let oracle_equivalence =
+  let mutations = [| Unchanged; Drop_node; Swap_stamps; Retarget_read; Change_final |] in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((prog_seed, sched_seed, combo_idx), (profile_idx, m, a, b)) ->
+          (prog_seed, sched_seed, combo_idx, profile_idx, mutations.(m), (a, b)))
+        (pair
+           (triple (int_range 1 10_000) (int_range 0 1_000_000) (int_range 0 1_000))
+           (quad (int_range 0 2) (int_range 0 4) (int_range 0 1_000) (int_range 0 1_000))))
+  in
+  let print (p, s, c, pr, m, (a, b)) =
+    Printf.sprintf "prog %d sched %d combo %d profile %d %s (%d, %d)" p s c pr
+      (mutation_name m) a b
+  in
+  QCheck.Test.make ~name:"array oracle = table oracle (check, check_si, certify)"
+    ~count:1500 (QCheck.make ~print gen)
+    (fun (prog_seed, sched_seed, combo_idx, profile_idx, m, ab) ->
+      match real_history ~prog_seed ~sched_seed ~combo_idx ~profile_idx with
+      | None -> true
+      | Some (prog, h) ->
+          let h = mutate m ab h in
+          let old_v = Old_oracle.check prog h in
+          note_hit old_v;
+          (match Old_oracle.check_si h with
+          | History.Anomalous a -> note_hit (History.Anomalous a)
+          | _ -> ());
+          verdict_json (History.check prog h) = verdict_json old_v
+          && verdict_json (History.check_si h) = verdict_json (Old_oracle.check_si h)
+          && certification_json (History.certify prog h)
+             = certification_json (Old_oracle.certify prog h))
+
+let test_oracle_equivalence () =
+  Hashtbl.reset oracle_hits;
+  QCheck_alcotest.to_alcotest oracle_equivalence |> fun (_, _, f) -> f ();
+  let hits = List.sort compare (List.of_seq (Hashtbl.to_seq oracle_hits)) in
+  Printf.printf "verdicts per kind: %s\n"
+    (String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) hits));
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem oracle_hits k) then
+        Alcotest.failf "no case produced a %s verdict: the property is vacuous there" k)
+    [ "serializable"; "cycle"; "dirty-read"; "final-mismatch"; "lost-update" ]
+
+(* ------------------------------------------------------------------ *)
+(* Fixed-seed fuzz golden                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact fuzz execution, pinned. Every execution of the first three
+   programs x three schedule seeds of each expect-clean campaign (the
+   seeds [Fuzz.run_campaign] derives), and each hunt campaign's first
+   witness, as one JSON line: the verdict and an MD5 digest of the
+   printed history (random driver), or the verdict and the digest of the
+   outcome table of the witnessing DPOR walk. A changed schedule, a
+   changed collected history or a changed verdict all change a line.
+   The file was recorded before the scheduler's [Random] yield fast
+   path, the table-free collector and the array-based oracle existed;
+   on a mismatch the actual lines are written next to the test binary
+   as [fuzz_golden.actual] for diffing. *)
+
+let golden_path = "data/fuzz_golden.jsonl"
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let history_digest h = md5 (Format.asprintf "%a" History.pp_history h)
+
+let golden_budget = Fuzz.default_budget
+
+let golden_random_line ~key c ~prog_seed ~sched_seed prog =
+  let b = golden_budget in
+  let cfg = Combo.to_config ~cm_seed:sched_seed c.Fuzz.combo in
+  let v, h =
+    Exec.run ~policy:(Stm_runtime.Sched.Random sched_seed) ~max_steps:b.Fuzz.max_steps
+      ~cfg prog
+  in
+  ( v,
+    Stm_obs.Json.(
+      to_string
+        (Obj
+           [
+             (key, Str (Fuzz.campaign_name c));
+             ("prog", Int prog_seed);
+             ("sched", Int sched_seed);
+             ("verdict", History.verdict_to_json v);
+             ( "history",
+               match h with None -> Null | Some h -> Str (history_digest h) );
+           ])) )
+
+let golden_clean c =
+  let b = golden_budget in
+  let gcfg = Gen.default c.Fuzz.profile in
+  List.concat_map
+    (fun p ->
+      let prog_seed = b.Fuzz.base_seed + p in
+      let prog = Gen.generate gcfg ~seed:prog_seed in
+      List.init 3 (fun s ->
+          snd
+            (golden_random_line ~key:"campaign" c ~prog_seed
+               ~sched_seed:((prog_seed * 8191) + s)
+               prog)))
+    [ 0; 1; 2 ]
+
+let golden_hunt c =
+  let b = golden_budget in
+  let gcfg = Gen.default c.Fuzz.profile in
+  let rec go p =
+    if p >= b.Fuzz.programs then
+      Printf.sprintf {|{"hunt":"%s","witness":null}|} (Fuzz.campaign_name c)
+    else
+      let prog_seed = b.Fuzz.base_seed + p in
+      let prog = Gen.generate gcfg ~seed:prog_seed in
+      match c.Fuzz.driver with
+      | None | Some Fuzz.Drv_random ->
+          let rec seeds s =
+            if s >= b.Fuzz.seeds then go (p + 1)
+            else
+              let v, line =
+                golden_random_line ~key:"hunt" c ~prog_seed
+                  ~sched_seed:((prog_seed * 8191) + s)
+                  prog
+              in
+              if History.is_anomalous v then line else seeds (s + 1)
+          in
+          seeds 0
+      | Some Fuzz.Drv_explore -> Alcotest.fail "no hunt uses the enumerative driver"
+      | Some Fuzz.Drv_dpor -> (
+          let cfg = Combo.to_config c.Fuzz.combo in
+          match
+            Exec.explore_dpor ~preemption_bound:b.Fuzz.preemption_bound
+              ~max_runs:b.Fuzz.max_runs ~max_steps:b.Fuzz.max_steps ~cfg prog
+          with
+          | Some v, d ->
+              let e = d.Stm_litmus.Explorer.exploration in
+              Stm_obs.Json.(
+                to_string
+                  (Obj
+                     [
+                       ("hunt", Str (Fuzz.campaign_name c));
+                       ("prog", Int prog_seed);
+                       ("verdict", History.verdict_to_json v);
+                       ("runs", Int e.Stm_litmus.Explorer.runs);
+                       ("races", Int d.Stm_litmus.Explorer.races);
+                       ( "outcomes",
+                         Str
+                           (md5
+                              (String.concat "\n"
+                                 (List.map
+                                    (fun (o, n) -> Printf.sprintf "%d %s" n o)
+                                    e.Stm_litmus.Explorer.outcomes))) );
+                     ]))
+          | None, _ -> go (p + 1))
+  in
+  go 0
+
+let golden_lines () =
+  List.concat_map golden_clean Fuzz.clean_campaigns
+  @ List.map golden_hunt Fuzz.hunt_campaigns
+
+let test_fuzz_golden () =
+  let expected = In_channel.with_open_text golden_path In_channel.input_all in
+  let actual = String.concat "" (List.map (fun l -> l ^ "\n") (golden_lines ())) in
+  if actual <> expected then begin
+    Out_channel.with_open_text "fuzz_golden.actual" (fun oc ->
+        output_string oc actual);
+    let el = String.split_on_char '\n' expected
+    and al = String.split_on_char '\n' actual in
+    let rec first_diff i = function
+      | e :: es, a :: as_ -> if e = a then first_diff (i + 1) (es, as_) else (i, e, a)
+      | e :: _, [] -> (i, e, "<missing>")
+      | [], a :: _ -> (i, "<missing>", a)
+      | [], [] -> (i, "", "")
+    in
+    let i, e, a = first_diff 1 (el, al) in
+    Alcotest.failf "fuzz golden differs at line %d:\nexpected %s\nactual   %s" i e a
+  end
+
 let suite =
   [
     ( "check-oracle",
@@ -746,4 +1378,8 @@ let suite =
         Alcotest.test_case "strong/dea/quiesce clean" `Quick test_priv_race_safe_configs;
         Alcotest.test_case "publish clean" `Quick test_publish_safe_configs;
       ] );
+    ( "check-oracle-equivalence",
+      [ Alcotest.test_case "array oracle = table oracle" `Quick test_oracle_equivalence ] );
+    ( "check-golden",
+      [ Alcotest.test_case "fixed-seed fuzz executions" `Quick test_fuzz_golden ] );
   ]

@@ -577,9 +577,9 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Min_clock yield fast path: a yield the heap would answer with the   *)
-(* yielding thread itself returns without a context switch, but still *)
-(* counts as one scheduling decision                                   *)
+(* Yield fast path: a yield the pick would answer with the yielding    *)
+(* thread itself returns without a context switch, but still counts   *)
+(* as one scheduling decision (Min_clock's heap, Random's draw)        *)
 (* ------------------------------------------------------------------ *)
 
 let fast_single_thread_switches () =
@@ -660,9 +660,10 @@ let fast_equal_clock_tid_order () =
      2 at clock 1; 2b; main after the join *)
   check_int "switches" 8 r.Sched.switches
 
-(* Random never takes the fast path: a fixed seed must give the pick
-   sequence and switch count of a scheduler that performs every yield,
-   which is what the expected values were recorded from. *)
+(* Random's fast path makes the slow path's draw itself: a fixed seed
+   must give the pick sequence and switch count of a scheduler that
+   performs every yield, which is what the expected values were
+   recorded from. *)
 let fast_random_unchanged () =
   let order = ref [] in
   let r =
@@ -686,6 +687,90 @@ let fast_random_unchanged () =
     (List.rev !order);
   check_int "switches" 28 r.Sched.switches
 
+(* [Random]'s fast path must reproduce the slow path's RNG draws, picks
+   and switch count exactly. Expected values were recorded from a
+   scheduler that performs every yield and every [pause] quantum as an
+   effect round trip. The run mixes yields, multi-quantum pauses, a
+   zero pause, joins on running threads and a suspend/wake pair. *)
+let fast_random_pause_join_suspend () =
+  let order = ref [] in
+  let note id = order := Printf.sprintf "%d@%d" id (Sched.time ()) :: !order in
+  let r =
+    Sched.run ~policy:(Sched.Random 7) (fun () ->
+        let asleep = ref false in
+        let sleeper =
+          Sched.spawn (fun () ->
+              note 10;
+              asleep := true;
+              Sched.suspend ();
+              note 11;
+              Sched.pause 37;
+              note 12)
+        in
+        let ts =
+          List.init 3 (fun i ->
+              Sched.spawn (fun () ->
+                  for j = 1 to 3 do
+                    note (i + 1);
+                    Sched.pause (10 * (i + 1) * j);
+                    Sched.tick 1;
+                    Sched.yield ()
+                  done;
+                  if i = 1 then begin
+                    while not !asleep do
+                      Sched.yield ()
+                    done;
+                    Sched.wake sleeper
+                  end;
+                  Sched.pause 0;
+                  note (i + 1)))
+        in
+        List.iter Sched.join ts;
+        note 0;
+        Sched.join sleeper;
+        note 0)
+  in
+  check_bool "completed" true (r.Sched.status = Sched.Completed);
+  Alcotest.(check (list string))
+    "pick sequence"
+    [
+      "3@0"; "10@0"; "1@0"; "3@31"; "2@0"; "2@21"; "2@62"; "11@123"; "2@123";
+      "1@11"; "12@160"; "1@32"; "3@92"; "1@63"; "3@183"; "0@183"; "0@183";
+    ]
+    (List.rev !order);
+  check_int "switches" 49 r.Sched.switches;
+  check_int "makespan" 183 r.Sched.makespan
+
+(* The fuel check sits between a fast-path draw that picked another
+   thread and the pick that consumes it: [max_steps] still bounds the
+   decisions, and the picks up to the boundary are the slow path's. *)
+let fast_random_fuel_boundary () =
+  let got =
+    List.map
+      (fun k ->
+        let order = ref [] in
+        let r =
+          Sched.run ~max_steps:k ~policy:(Sched.Random 5) (fun () ->
+              let ts =
+                List.init 3 (fun i ->
+                    Sched.spawn (fun () ->
+                        while true do
+                          order := i :: !order;
+                          Sched.yield ()
+                        done))
+              in
+              List.iter Sched.join ts)
+        in
+        check_bool "fuel exhausted" true (r.Sched.status = Sched.Fuel_exhausted);
+        check_int (Printf.sprintf "switches = max_steps %d" k) k r.Sched.switches;
+        String.concat "" (List.rev_map string_of_int !order))
+      [ 1; 2; 3; 4; 7; 20 ]
+  in
+  Alcotest.(check (list string))
+    "picks up to the boundary"
+    [ ""; "1"; "12"; "121"; "121012"; "1210120120101222001" ]
+    got
+
 let suite =
   suite
   @ [
@@ -697,5 +782,9 @@ let suite =
           case "fuel boundary unchanged" fast_fuel_boundary;
           case "equal clocks resume in tid order" fast_equal_clock_tid_order;
           case "random: stream and switches unchanged" fast_random_unchanged;
+          case "random: pause, join and suspend unchanged"
+            fast_random_pause_join_suspend;
+          case "random: fuel boundary after a fast-path draw"
+            fast_random_fuel_boundary;
         ] );
     ]
