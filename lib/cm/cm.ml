@@ -44,9 +44,11 @@ type t = {
   policy : Policy.t;
   max_retries : int;
   cost : Cost.t;
-  by_txid : (int, slot) Hashtbl.t;
-  stacks : (int, slot list) Hashtbl.t;  (* tid -> active blocks, innermost first *)
+  by_txid : slot Int_tbl.t;
+  stacks : slot list Int_tbl.t;  (* tid -> active blocks, innermost first *)
   rng : Det_rng.t;  (* seeds per-slot generators deterministically *)
+  mutable owner_tid : int;
+      (* thread of the owner the last [on_conflict] looked up, -1 none *)
 }
 
 let create ?(seed = 0) ~max_retries ~cost policy =
@@ -54,9 +56,10 @@ let create ?(seed = 0) ~max_retries ~cost policy =
     policy;
     max_retries;
     cost;
-    by_txid = Hashtbl.create 32;
-    stacks = Hashtbl.create 8;
+    by_txid = Int_tbl.create 32;
+    stacks = Int_tbl.create 8;
     rng = Det_rng.create seed;
+    owner_tid = -1;
   }
 
 let policy t = t.policy
@@ -89,7 +92,7 @@ let randomized_delay t (slot : slot) ~attempt =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let stack t tid = Option.value ~default:[] (Hashtbl.find_opt t.stacks tid)
+let stack t tid = Option.value ~default:[] (Int_tbl.find_opt t.stacks tid)
 
 let fresh_slot t ~tid ~txid ~now =
   {
@@ -106,8 +109,8 @@ let fresh_slot t ~tid ~txid ~now =
 
 let on_begin t ~tid ~txid ~now =
   let push slot rest =
-    Hashtbl.replace t.stacks tid (slot :: rest);
-    Hashtbl.replace t.by_txid txid slot
+    Int_tbl.replace t.stacks tid (slot :: rest);
+    Int_tbl.replace t.by_txid txid slot
   in
   match stack t tid with
   | top :: _ when not top.s_active ->
@@ -115,34 +118,36 @@ let on_begin t ~tid ~txid ~now =
       top.s_txid <- txid;
       top.s_work <- 0;
       top.s_active <- true;
-      Hashtbl.replace t.by_txid txid top
+      Int_tbl.replace t.by_txid txid top
   | rest -> push (fresh_slot t ~tid ~txid ~now) rest
 
 let drop_slot t slot =
-  Hashtbl.remove t.by_txid slot.s_txid;
+  Int_tbl.remove t.by_txid slot.s_txid;
   let rest = List.filter (fun s -> s != slot) (stack t slot.s_tid) in
-  if rest = [] then Hashtbl.remove t.stacks slot.s_tid
-  else Hashtbl.replace t.stacks slot.s_tid rest
+  if rest = [] then Int_tbl.remove t.stacks slot.s_tid
+  else Int_tbl.replace t.stacks slot.s_tid rest
 
 let on_commit t ~txid =
-  match Hashtbl.find_opt t.by_txid txid with
+  match Int_tbl.find_opt t.by_txid txid with
   | None -> ()
   | Some slot -> drop_slot t slot
 
+let owner_tid t = t.owner_tid
+
 let tid_of t ~txid =
-  Option.map (fun s -> s.s_tid) (Hashtbl.find_opt t.by_txid txid)
+  Option.map (fun s -> s.s_tid) (Int_tbl.find_opt t.by_txid txid)
 
 (* [restart] is false when the enclosing atomic block is being torn down
    for good (an exception is propagating, or the runner gave up): the
    slot must not leak its age into the thread's next, unrelated block. *)
 let on_abort t ~txid ~restart ~wounded ~work =
-  match Hashtbl.find_opt t.by_txid txid with
+  match Int_tbl.find_opt t.by_txid txid with
   | None -> ()
   | Some slot ->
       slot.s_karma <- slot.s_karma + max work slot.s_work;
       slot.s_active <- false;
       slot.s_wounded <- wounded;
-      if restart then Hashtbl.remove t.by_txid txid else drop_slot t slot
+      if restart then Int_tbl.remove t.by_txid txid else drop_slot t slot
 
 (* ------------------------------------------------------------------ *)
 (* The decision procedure                                              *)
@@ -155,28 +160,33 @@ let priority slot = slot.s_karma + slot.s_work
 let older a b =
   a.s_birth < b.s_birth || (a.s_birth = b.s_birth && a.s_first_txid < b.s_first_txid)
 
+(* Spin-waits re-enter here on every retry, so no closure is built per
+   call: the jittered delay (pure arithmetic) is computed up front. *)
 let on_conflict t (c : conflict) =
-  let self = Hashtbl.find_opt t.by_txid c.txid in
-  Option.iter (fun s -> s.s_work <- max s.s_work c.work) self;
-  let owner_slot = Option.bind c.owner (Hashtbl.find_opt t.by_txid) in
+  let self = Int_tbl.find_opt t.by_txid c.txid in
+  (match self with Some s -> s.s_work <- max s.s_work c.work | None -> ());
+  let owner_slot =
+    match c.owner with Some o -> Int_tbl.find_opt t.by_txid o | None -> None
+  in
+  t.owner_tid <- (match owner_slot with Some o -> o.s_tid | None -> -1);
   let budget_exhausted = c.attempt >= t.max_retries in
-  let jitter () = jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
+  let jitter = jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
   match t.policy with
   | Policy.Suicide ->
-      if budget_exhausted then Abort_self else Wait (jitter ())
+      if budget_exhausted then Abort_self else Wait jitter
   | Policy.Wound_wait ->
       if budget_exhausted then Abort_self
       else (
         match c.owner with
-        | Some o when c.txid < o -> Wound { victim = o; delay = jitter () }
-        | Some _ | None -> Wait (jitter ()))
+        | Some o when c.txid < o -> Wound { victim = o; delay = jitter }
+        | Some _ | None -> Wait jitter)
   | Policy.Exp_backoff ->
       if budget_exhausted then Abort_self
       else
         let delay =
           match self with
           | Some slot -> randomized_delay t slot ~attempt:c.attempt
-          | None -> jitter ()
+          | None -> jitter
         in
         Wait delay
   | Policy.Karma -> (
@@ -187,15 +197,15 @@ let on_conflict t (c : conflict) =
           when priority s > priority o
                || (priority s = priority o && s.s_first_txid < o.s_first_txid)
           ->
-            Wound { victim = o.s_txid; delay = jitter () }
-        | _ -> Wait (jitter ()))
+            Wound { victim = o.s_txid; delay = jitter }
+        | _ -> Wait jitter)
   | Policy.Timestamp -> (
       match (self, owner_slot) with
       | Some s, Some o when older s o ->
           (* the oldest transaction never loses - and never gives up,
              even past the retry budget, because its victim may need a
              few more pauses to notice the wound *)
-          Wound { victim = o.s_txid; delay = jitter () }
+          Wound { victim = o.s_txid; delay = jitter }
       | Some _, Some _ ->
           (* younger waits for older without burning retry budget: waits
              only ever point from younger to older (a younger owner would
@@ -203,11 +213,11 @@ let on_conflict t (c : conflict) =
              order and cannot cycle. Aborting here would restart-churn
              the young side into exactly the starvation streaks the
              policy exists to prevent. *)
-          Wait (jitter ())
+          Wait jitter
       | _ ->
           (* anonymous or unknown owner: no age to order against, so fall
              back to bounded retries like everyone else *)
-          if budget_exhausted then Abort_self else Wait (jitter ()))
+          if budget_exhausted then Abort_self else Wait jitter)
 
 (* Delay charged between a conflict-driven abort and the block's next
    incarnation. Same schedule the policy uses inside the transaction,

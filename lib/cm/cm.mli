@@ -53,6 +53,13 @@ val on_begin : t -> tid:int -> txid:int -> now:int -> unit
 
 val on_conflict : t -> conflict -> decision
 
+val owner_tid : t -> int
+(** The scheduler thread running the owner named by the last
+    {!on_conflict}'s [owner], as {!tid_of} would answer right after that
+    call; [-1] when the record was held anonymously or the owning block
+    is not live. Lets the core attribute the conflict without looking
+    the owner up a second time. *)
+
 val on_abort : t -> txid:int -> restart:bool -> wounded:bool -> work:int -> unit
 (** [restart] is true when the enclosing atomic block will be retried
     (the slot survives); false when it is torn down for good (an escaping

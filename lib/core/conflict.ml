@@ -15,8 +15,8 @@ let jittered_delay cost ~attempt =
 let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
     (obj : Heap.obj) =
   stats.Stats.conflicts <- stats.Stats.conflicts + 1;
-  Trace.emit
-    (lazy
+  if Trace.enabled () then
+    Trace.emit_info
       (Trace.Conflict
          {
            tid = (if Sched.running () then Sched.self () else -1);
@@ -24,7 +24,7 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
            cls = obj.Heap.cls;
            writer;
            site = Site.current ();
-         }));
+         });
   match cfg.conflict with
   | Config.Raise_error ->
       raise (Isolation_violation { cls = obj.Heap.cls; oid = obj.Heap.oid; writer })

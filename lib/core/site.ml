@@ -4,15 +4,15 @@ open Stm_runtime
    a per-tid slot written at access dispatch and read inside the barrier
    attributes correctly even if the barrier's internal yields interleave
    other threads' accesses. *)
-let slots : (int, int) Hashtbl.t = Hashtbl.create 64
+let slots : int Int_tbl.t = Int_tbl.create 64
 
 let tid () = if Sched.running () then Sched.self () else 0
 
-let set site = Hashtbl.replace slots (tid ()) site
+let set site = Int_tbl.replace slots (tid ()) site
 
-let clear () = Hashtbl.replace slots (tid ()) (-1)
+let clear () = Int_tbl.replace slots (tid ()) (-1)
 
 let current () =
-  match Hashtbl.find_opt slots (tid ()) with Some s -> s | None -> -1
+  match Int_tbl.find_opt slots (tid ()) with Some s -> s | None -> -1
 
-let reset () = Hashtbl.reset slots
+let reset () = Int_tbl.reset slots

@@ -89,6 +89,10 @@ let emit ?(level = Info) ev =
    [lazy] would be allocated and forced on the spot. *)
 let emit_debug ev = match !sink with Some { deliver; _ } -> deliver ev | None -> ()
 
+(* Likewise for the [Info] sites under [enabled ()]: every sink accepts
+   [Info], so a guarded site delivers its payload, strictly. *)
+let emit_info = emit_debug
+
 let enabled () = !sink <> None
 
 let enabled_at level =

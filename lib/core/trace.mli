@@ -9,7 +9,9 @@
     an untraced run, and a run with a sink at [Info], from building the
     payload on the access fast paths, and under the guard the payload is
     always delivered, so it is built strictly rather than as a [lazy]
-    closure that would be forced at once. [Info] sites use {!emit}.
+    closure that would be forced at once. The STM's [Info] sites are
+    guarded by {!enabled} the same way and use {!emit_info}; {!emit}
+    takes a [lazy] payload for unguarded callers.
 
     The [stm_run --trace] CLI installs a printing sink; [--trace-out] and
     [--profile-barriers] install the {!Stm_obs} recorder and per-site
@@ -134,6 +136,14 @@ val emit_debug : event -> unit
 (** Deliver a [Debug] event to the sink, strictly. Valid only under an
     [enabled_at Debug] guard, where the sink's level filter always
     passes; with no sink installed the event is dropped. *)
+
+val emit_info : event -> unit
+(** Deliver an [Info] event to the sink, strictly. Valid under an
+    {!enabled} guard: every sink accepts [Info] events. The STM's
+    lifecycle and structural sites ([Txn_begin], [Txn_commit],
+    [Txn_abort], [Txn_wound], [Quiesce_wait], [Conflict], [Publish]) are
+    written [if enabled () then emit_info ev], so a run with no sink
+    builds no payload for them. *)
 
 val enabled : unit -> bool
 

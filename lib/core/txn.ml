@@ -27,7 +27,7 @@ type killed_flag = {
 (* A transaction descriptor. Descriptors and their tables/logs are pooled
    per context and recycled across attempts (clear-don't-reallocate): an
    abort/retry storm reuses the same hash tables and grow-only arenas
-   instead of re-running [Hashtbl.create] per incarnation.
+   instead of re-running [Int_tbl.create] per incarnation.
 
    The read set is dedup-on-insert: [read_index] keys distinct objects by
    oid, [read_objs]/[read_vers] keep the distinct entries in insertion
@@ -50,19 +50,19 @@ type t = {
   mutable nreads : int;  (* distinct entries *)
   mutable reads_obs : int;  (* monotone observation count, incl. re-reads *)
   (* ownership (eager open-for-write / lazy commit-time acquire) *)
-  owned : (int, int) Hashtbl.t;  (* oid -> arena slot *)
+  owned : int Int_tbl.t;  (* oid -> arena slot *)
   mutable owned_obj : Heap.obj array;
   mutable owned_prior : int array;  (* prior record versions *)
   mutable nowned : int;
   (* undo log (eager versioning); grow-only arena, buffers reused *)
-  undo_saved : (int, unit) Hashtbl.t;  (* packed (oid, granule) saved? *)
+  undo_saved : unit Int_tbl.t;  (* packed (oid, granule) saved? *)
   mutable undo_obj : Heap.obj array;
   mutable undo_base : int array;
   mutable undo_buf : Heap.value array array;  (* slot buffers, len >= live *)
   mutable undo_len : int array;  (* live prefix of each buffer *)
   mutable nundo : int;
   (* write buffer (lazy versioning); same arena discipline *)
-  wbuf : (int, int) Hashtbl.t;  (* packed (oid, granule) -> arena slot *)
+  wbuf : int Int_tbl.t;  (* packed (oid, granule) -> arena slot *)
   mutable wbuf_obj : Heap.obj array;
   mutable wbuf_base : int array;
   mutable wbuf_prior : int array;  (* version at copy; -1 = private obj *)
@@ -101,7 +101,7 @@ type ctx = {
   gvc : Gvc.t;  (* the global commit clock, shared with [mv] *)
   mv : Mvcc.t;  (* snapshot registry (mvcc versioning) *)
   mutable next_id : int;
-  registry : (int, killed_flag) Hashtbl.t;
+  registry : killed_flag Int_tbl.t;
       (* live transaction ids -> wound flag, for contention management *)
   mutable pool : t list;  (* recycled descriptors *)
 }
@@ -119,7 +119,7 @@ let make_ctx (cfg : Config.t) =
     gvc;
     mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
     next_id = 0;
-    registry = Hashtbl.create 32;
+    registry = Int_tbl.create 32;
     pool = [];
   }
 
@@ -152,17 +152,17 @@ let fresh_descriptor () =
     read_vers = Array.make 16 0;
     nreads = 0;
     reads_obs = 0;
-    owned = Hashtbl.create 16;
+    owned = Int_tbl.create 16;
     owned_obj = Array.make 8 Heap.dummy;
     owned_prior = Array.make 8 0;
     nowned = 0;
-    undo_saved = Hashtbl.create 16;
+    undo_saved = Int_tbl.create 16;
     undo_obj = Array.make 8 Heap.dummy;
     undo_base = Array.make 8 0;
     undo_buf = Array.make 8 [||];
     undo_len = Array.make 8 0;
     nundo = 0;
-    wbuf = Hashtbl.create 16;
+    wbuf = Int_tbl.create 16;
     wbuf_obj = Array.make 8 Heap.dummy;
     wbuf_base = Array.make 8 0;
     wbuf_prior = Array.make 8 0;
@@ -281,11 +281,11 @@ let recycle ctx t =
   t.ridx_gen <- t.ridx_gen + 1;
   t.nreads <- 0;
   t.reads_obs <- 0;
-  Hashtbl.clear t.owned;
+  Int_tbl.clear t.owned;
   t.nowned <- 0;
-  Hashtbl.clear t.undo_saved;
+  Int_tbl.clear t.undo_saved;
   t.nundo <- 0;
-  Hashtbl.clear t.wbuf;
+  Int_tbl.clear t.wbuf;
   t.nwbuf <- 0;
   t.naccesses <- 0;
   t.nest_depth <- 0;
@@ -337,10 +337,11 @@ let begin_txn ?parent ctx =
   t.last_aggr <- -1;
   t.last_aggr_tid <- -1;
   Footprint.write (Footprint.flag_oid ctx.next_id);
-  Hashtbl.replace ctx.registry ctx.next_id t.flag;
+  Int_tbl.replace ctx.registry ctx.next_id t.flag;
   Stm_cm.Cm.on_begin ctx.cm ~tid:(Sched.self ()) ~txid:ctx.next_id
     ~now:(Sched.time ());
-  Trace.emit (lazy (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () }));
+  if Trace.enabled () then
+    Trace.emit_info (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () });
   t
 
 let id t = t.txid
@@ -441,7 +442,7 @@ let sv_entries_ok ctx t =
       match dec with
       | Txrec.Shared v -> v = ver
       | Txrec.Exclusive o when o = t.txid -> (
-          match Hashtbl.find_opt t.owned obj.Heap.oid with
+          match Int_tbl.find_opt t.owned obj.Heap.oid with
           | Some slot -> t.owned_prior.(slot) = ver
           | None -> false)
       | Txrec.Exclusive _ | Txrec.Exclusive_anon _ | Txrec.Private -> false
@@ -550,13 +551,13 @@ let check_wounded t =
    at its next pause or validation point and aborts. Idempotent. *)
 let wound ctx ~victim ~by =
   Footprint.write (Footprint.flag_oid victim);
-  match Hashtbl.find_opt ctx.registry victim with
+  match Int_tbl.find_opt ctx.registry victim with
   | Some flag when not flag.killed ->
       flag.killed <- true;
       flag.killed_by <- by;
       flag.killed_by_tid <- Sched.self ();
       ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
-      Trace.emit (lazy (Trace.Txn_wound { victim; by }))
+      if Trace.enabled () then Trace.emit_info (Trace.Txn_wound { victim; by })
   | Some _ | None -> ()
 
 (* A transaction pausing on a conflict revalidates (when quiescence is on)
@@ -589,15 +590,6 @@ let cm_resolve ctx t ~attempt ~writer obj =
   observe_blocked ~attempt obj.Heap.oid;
   let w = Heap.txrec_peek obj in
   let owner = if Txrec.is_exclusive w then Some (Txrec.owner w) else None in
-  t.last_oid <- obj.Heap.oid;
-  (match owner with
-  | Some o ->
-      t.last_aggr <- o;
-      t.last_aggr_tid <-
-        Option.value ~default:(-1) (Stm_cm.Cm.tid_of ctx.cm ~txid:o)
-  | None ->
-      t.last_aggr <- -1;
-      t.last_aggr_tid <- -1);
   let decision =
     Stm_cm.Cm.on_conflict ctx.cm
       {
@@ -610,6 +602,11 @@ let cm_resolve ctx t ~attempt ~writer obj =
         now = Sched.time ();
       }
   in
+  (* the manager resolved the owner's slot for its decision; its thread
+     is the attribution *)
+  t.last_oid <- obj.Heap.oid;
+  t.last_aggr <- Option.value ~default:(-1) owner;
+  t.last_aggr_tid <- Stm_cm.Cm.owner_tid ctx.cm;
   if Trace.enabled_at Trace.Debug then
     Trace.emit_debug
       (Trace.Cm_decision
@@ -648,8 +645,8 @@ let periodic_validate ctx t =
 let save_undo ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let key = gkey obj base in
-  if not (Hashtbl.mem t.undo_saved key) then begin
-    Hashtbl.replace t.undo_saved key ();
+  if not (Int_tbl.mem t.undo_saved key) then begin
+    Int_tbl.replace t.undo_saved key ();
     let len = granule_len ctx.cfg obj base in
     ensure_undo_capacity t;
     let i = t.nundo in
@@ -675,7 +672,7 @@ let acquire ctx t ?expect (obj : Heap.obj) =
     match Txrec.decode w with
     | Txrec.Exclusive o when o = t.txid ->
         Footprint.read obj.Heap.oid;
-        t.owned_prior.(Hashtbl.find t.owned obj.Heap.oid)
+        t.owned_prior.(Int_tbl.find t.owned obj.Heap.oid)
     | Txrec.Shared ver -> (
         Footprint.read obj.Heap.oid;
         (match expect with
@@ -694,7 +691,7 @@ let acquire ctx t ?expect (obj : Heap.obj) =
         if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
         then begin
           ensure_owned_capacity t;
-          Hashtbl.replace t.owned obj.Heap.oid t.nowned;
+          Int_tbl.replace t.owned obj.Heap.oid t.nowned;
           t.owned_obj.(t.nowned) <- obj;
           t.owned_prior.(t.nowned) <- ver;
           t.nowned <- t.nowned + 1;
@@ -800,7 +797,7 @@ let eager_read ctx t (obj : Heap.obj) fld =
 let lazy_slot ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let key = gkey obj base in
-  match Hashtbl.find_opt t.wbuf key with
+  match Int_tbl.find_opt t.wbuf key with
   | Some i -> i
   | None ->
       let cost = ctx.cfg.cost in
@@ -843,7 +840,7 @@ let lazy_slot ctx t (obj : Heap.obj) fld =
       t.wbuf_base.(i) <- base;
       t.wbuf_prior.(i) <- prior;
       t.wbuf_len.(i) <- len;
-      Hashtbl.replace t.wbuf key i;
+      Int_tbl.replace t.wbuf key i;
       t.nwbuf <- i + 1;
       i
 
@@ -854,7 +851,7 @@ let lazy_write ctx t obj fld v =
 
 let lazy_read ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
-  match Hashtbl.find_opt t.wbuf (gkey obj base) with
+  match Int_tbl.find_opt t.wbuf (gkey obj base) with
   | Some i ->
       Sched.tick ctx.cfg.cost.Cost.plain_load;
       t.wbuf_buf.(i).(fld - base)
@@ -884,7 +881,7 @@ let mvcc_read_field ctx t (obj : Heap.obj) fld =
 let mvcc_read ctx t (obj : Heap.obj) fld =
   let cost = ctx.cfg.cost in
   let base = granule_base ctx.cfg fld in
-  match Hashtbl.find_opt t.wbuf (gkey obj base) with
+  match Int_tbl.find_opt t.wbuf (gkey obj base) with
   | Some i ->
       Sched.tick cost.Cost.plain_load;
       t.wbuf_buf.(i).(fld - base)
@@ -911,7 +908,7 @@ let mvcc_read ctx t (obj : Heap.obj) fld =
 let mvcc_slot ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let key = gkey obj base in
-  match Hashtbl.find_opt t.wbuf key with
+  match Int_tbl.find_opt t.wbuf key with
   | Some i -> i
   | None ->
       let cost = ctx.cfg.cost in
@@ -930,7 +927,7 @@ let mvcc_slot ctx t (obj : Heap.obj) fld =
       t.wbuf_base.(i) <- base;
       t.wbuf_prior.(i) <- (if priv then -1 else 0);
       t.wbuf_len.(i) <- len;
-      Hashtbl.replace t.wbuf key i;
+      Int_tbl.replace t.wbuf key i;
       t.nwbuf <- i + 1;
       i
 
@@ -1002,7 +999,7 @@ let release_all ctx t =
     Sched.tick cost.Cost.txn_per_write
   done;
   t.nowned <- 0;
-  Hashtbl.clear t.owned
+  Int_tbl.clear t.owned
 
 let emit_serialized t =
   if Trace.enabled_at Trace.Debug then
@@ -1030,7 +1027,8 @@ let commit ctx t =
         match t.part with
         | Some p ->
             ctx.stats.Stats.quiesce_waits <- ctx.stats.Stats.quiesce_waits + 1;
-            Trace.emit (lazy (Trace.Quiesce_wait { txid = t.txid }));
+            if Trace.enabled () then
+              Trace.emit_info (Trace.Quiesce_wait { txid = t.txid });
             Quiesce.mark_consistent ctx.q p;
             Quiesce.commit_epoch_wait ctx.q p
         | None -> ()
@@ -1156,10 +1154,10 @@ let commit ctx t =
       mvcc_end_snapshot ctx t);
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
-  Hashtbl.remove ctx.registry t.txid;
+  Int_tbl.remove ctx.registry t.txid;
   Stm_cm.Cm.on_commit ctx.cm ~txid:t.txid;
-  Trace.emit
-    (lazy
+  if Trace.enabled () then
+    Trace.emit_info
       (Trace.Txn_commit
          {
            txid = t.txid;
@@ -1167,7 +1165,7 @@ let commit ctx t =
            reads = t.nreads;
            writes = t.naccesses;
            latency = latency t;
-         }));
+         });
   ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
   recycle ctx t
 
@@ -1188,30 +1186,31 @@ let abort ?(restart = true) ctx t =
     done
   done;
   t.nundo <- 0;
-  Hashtbl.clear t.undo_saved;
-  Hashtbl.clear t.wbuf;
+  Int_tbl.clear t.undo_saved;
+  Int_tbl.clear t.wbuf;
   t.nwbuf <- 0;
   release_all ctx t;
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
-  Hashtbl.remove ctx.registry t.txid;
+  Int_tbl.remove ctx.registry t.txid;
   Stm_cm.Cm.on_abort ctx.cm ~txid:t.txid ~restart ~wounded:t.flag.killed
     ~work:t.naccesses;
-  let cause = if t.flag.killed then Trace.Cause_wounded else t.abort_cause in
-  (* [by]/[oid] attribution is only meaningful for contention-driven
-     aborts; a user retry or an escaping exception has no aggressor, and
-     any leftover conflict fields from earlier in the attempt would
-     mislead the causality graph. *)
-  let by, by_tid, oid =
-    match cause with
-    | Trace.Cause_wounded -> (t.flag.killed_by, t.flag.killed_by_tid, t.last_oid)
-    | Trace.Cause_conflict | Trace.Cause_validation | Trace.Cause_stale_lock
-    | Trace.Cause_snapshot ->
-        (t.last_aggr, t.last_aggr_tid, t.last_oid)
-    | Trace.Cause_retry | Trace.Cause_exn -> (-1, -1, -1)
-  in
-  Trace.emit
-    (lazy
+  if Trace.enabled () then begin
+    let cause = if t.flag.killed then Trace.Cause_wounded else t.abort_cause in
+    (* [by]/[oid] attribution is only meaningful for contention-driven
+       aborts; a user retry or an escaping exception has no aggressor,
+       and any leftover conflict fields from earlier in the attempt
+       would mislead the causality graph. *)
+    let by, by_tid, oid =
+      match cause with
+      | Trace.Cause_wounded ->
+          (t.flag.killed_by, t.flag.killed_by_tid, t.last_oid)
+      | Trace.Cause_conflict | Trace.Cause_validation | Trace.Cause_stale_lock
+      | Trace.Cause_snapshot ->
+          (t.last_aggr, t.last_aggr_tid, t.last_oid)
+      | Trace.Cause_retry | Trace.Cause_exn -> (-1, -1, -1)
+    in
+    Trace.emit_info
       (Trace.Txn_abort
          {
            txid = t.txid;
@@ -1222,6 +1221,7 @@ let abort ?(restart = true) ctx t =
            by;
            by_tid;
            oid;
-         }));
+         })
+  end;
   ctx.stats.Stats.aborts <- ctx.stats.Stats.aborts + 1;
   recycle ctx t

@@ -10,11 +10,32 @@ type exploration = {
 
 type instance = { main : unit -> unit; observe : unit -> string }
 
-(* One scheduling decision observed during a run. *)
-type decision = {
-  chosen : Sched.tid;
-  alts : Sched.tid list;  (* runnable alternatives not chosen *)
+(* One run's scheduling decisions in an array-backed buffer: decision
+   [i] chose [chosen.(i)] from [ready.(i)], the list the scheduler passed
+   its callback (consecutive decisions over an unchanged runnable set
+   share it). [explore] keeps one buffer per DFS depth and refills it on
+   every run at that depth, so recording a decision allocates nothing
+   once the buffer has grown to the run's length. *)
+type trace = {
+  mutable chosen : Sched.tid array;
+  mutable ready : Sched.tid list array;
+  mutable len : int;
 }
+
+let new_trace () = { chosen = Array.make 64 0; ready = Array.make 64 []; len = 0 }
+
+let trace_push tr chosen ready =
+  let n = tr.len in
+  if n = Array.length tr.chosen then begin
+    let c = Array.make (2 * n) 0 and r = Array.make (2 * n) [] in
+    Array.blit tr.chosen 0 c 0 n;
+    Array.blit tr.ready 0 r 0 n;
+    tr.chosen <- c;
+    tr.ready <- r
+  end;
+  tr.chosen.(n) <- chosen;
+  tr.ready.(n) <- ready;
+  tr.len <- n + 1
 
 type state = {
   mutable outcome_tbl : (string, int) Hashtbl.t;
@@ -55,29 +76,49 @@ let note_pick f chosen =
     f.streak <- 1
   end
 
-(* Execute one schedule. [prefix] forces the first choices; afterwards the
-   default policy applies. Returns the decision trace and the outcome
-   string. *)
-let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
+(* [stop_when] is a function of the outcome string; an exploration
+   meets few distinct outcomes over many runs, and a litmus predicate
+   parses its outcome, so each distinct outcome is tested once. *)
+let memo_stop = function
+  | None -> fun _ -> false
+  | Some pred ->
+      let seen = Hashtbl.create 16 in
+      fun outcome ->
+        match Hashtbl.find_opt seen outcome with
+        | Some b -> b
+        | None ->
+            let b = pred outcome in
+            Hashtbl.add seen outcome b;
+            b
+
+let default_chooser ?(fairness_window = 64) () =
+  let fair = fairness () in
+  fun current ready ->
+    let chosen = default_pick fair ~fairness_window current ready in
+    note_pick fair chosen;
+    chosen
+
+(* Execute one schedule into [trace]. The first [plen] choices are
+   forced: [pre.(i)] for [i < plen - 1], then [flip] at [plen - 1] (the
+   parent run's choices up to the flipped decision); afterwards the
+   default policy applies. Returns the outcome string. *)
+let execute st ~max_steps ~fairness_window ~cfg ~make ~trace ~pre ~plen ~flip =
   if st.runs >= st.max_runs then begin
     st.truncated <- true;
     raise Search_done
   end;
   st.runs <- st.runs + 1;
   let inst = make () in
-  let trace = ref [] in
-  let ndecisions = ref 0 in
+  trace.len <- 0;
   let fair = fairness () in
-  let choose current runnables =
-    let i = !ndecisions in
-    incr ndecisions;
+  let choose current ready =
+    let i = trace.len in
     let chosen =
-      if i < Array.length prefix then prefix.(i)
-      else default_pick fair ~fairness_window current runnables
+      if i < plen then if i = plen - 1 then flip else pre.(i)
+      else default_pick fair ~fairness_window current ready
     in
     note_pick fair chosen;
-    let alts = List.filter (fun t -> t <> chosen) runnables in
-    trace := { chosen; alts } :: !trace;
+    trace_push trace chosen ready;
     chosen
   in
   let result =
@@ -104,7 +145,7 @@ let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
       record_outcome st.outcome_tbl outcome
   | Sched.Fuel_exhausted -> st.livelocks <- st.livelocks + 1
   | Sched.Completed -> record_outcome st.outcome_tbl outcome);
-  (Array.of_list (List.rev !trace), outcome)
+  outcome
 
 let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
     ?(fairness_window = 64) ?stop_when ~cfg ~make () =
@@ -118,29 +159,29 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
       truncated = false;
     }
   in
-  let execute prefix =
-    let trace, outcome = execute st ~max_steps ~fairness_window ~cfg ~make prefix in
-    (match stop_when with
-    | Some pred when pred outcome -> raise Search_done
-    | Some _ | None -> ());
-    (trace, outcome)
-  in
-  (* DFS over the scheduling tree. [prefix] replays forced choices;
-     [npre] counts injected (non-default) choices in the prefix. *)
-  let rec dfs prefix npre =
-    let trace, _outcome = execute prefix in
+  let stop = memo_stop stop_when in
+  (* one trace buffer per DFS depth: a run's children run one level
+     deeper, so the parent's buffer stays intact while they read their
+     forced prefix out of it *)
+  let traces = Array.init (max 0 preemption_bound + 1) (fun _ -> new_trace ()) in
+  (* DFS over the scheduling tree. The run replays [plen] forced choices
+     (see [execute]); [npre] counts injected (non-default) choices. *)
+  let rec dfs pre plen flip npre =
+    let trace = traces.(npre) in
+    if
+      stop
+        (execute st ~max_steps ~fairness_window ~cfg ~make ~trace ~pre ~plen
+           ~flip)
+    then raise Search_done;
     if npre < preemption_bound then
-      let chosen = Array.map (fun d -> d.chosen) trace in
-      for i = Array.length prefix to Array.length trace - 1 do
+      for i = plen to trace.len - 1 do
+        let chosen = trace.chosen.(i) in
         List.iter
-          (fun alt ->
-            let prefix' = Array.sub chosen 0 (i + 1) in
-            prefix'.(i) <- alt;
-            dfs prefix' (npre + 1))
-          trace.(i).alts
+          (fun alt -> if alt <> chosen then dfs trace.chosen (i + 1) alt (npre + 1))
+          trace.ready.(i)
       done
   in
-  (try dfs [||] 0 with Search_done -> ());
+  (try dfs [||] 0 0 0 with Search_done -> ());
   let outcomes =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.outcome_tbl []
     |> List.sort compare
@@ -528,6 +569,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
      cross-checks bounded-DPOR verdicts against the enumerative
      baseline (see Matrix.certify and the CI gate). *)
   let use_sleep = true in
+  let stop = memo_stop stop_when in
   let races = ref 0 in
   let complete = ref true in
   (* growable stack of schedule-tree nodes along the current branch *)
@@ -609,11 +651,10 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
         }
     done;
     analyze decs fps ~start:(max 0 (base - 1));
-    match stop_when with
-    | Some pred when pred outcome ->
-        complete := false;
-        raise Search_done
-    | Some _ | None -> ()
+    if stop outcome then begin
+      complete := false;
+      raise Search_done
+    end
   in
   (* pick the deepest node with a usable pending reversal; covered or
      over-budget candidates are dropped for good (they can never become
@@ -765,14 +806,13 @@ let explore_pct ?(runs = 2000) ?(depth = 3) ?(max_steps = 60_000) ?(seed = 1)
        horizon := max 32 (min !step 4096);
      outcome
    in
+   let stop = memo_stop stop_when in
    try
      for _ = 1 to runs do
-       let o = run_once () in
-       match stop_when with
-       | Some pred when pred o ->
-           stopped := true;
-           raise Exit
-       | _ -> ()
+       if stop (run_once ()) then begin
+         stopped := true;
+         raise Exit
+       end
      done
    with Exit -> ());
   {

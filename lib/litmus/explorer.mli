@@ -52,7 +52,20 @@ val explore :
     Defaults: [preemption_bound = 2], [max_runs = 40_000],
     [max_steps = 60_000], [fairness_window = 64]. If [stop_when] is given,
     the search stops as soon as a matching outcome is observed (used for
-    "anomaly possible?" queries, where one witness suffices). *)
+    "anomaly possible?" queries, where one witness suffices). All three
+    explorers treat [stop_when] as a function of the outcome string and
+    call it once per distinct outcome of an exploration. *)
+
+val default_chooser :
+  ?fairness_window:int ->
+  unit ->
+  Stm_runtime.Sched.tid ->
+  Stm_runtime.Sched.tid list ->
+  Stm_runtime.Sched.tid
+(** A fresh instance of the explorers' default policy, as a
+    {!Stm_runtime.Sched.Controlled} callback: stay on the current thread
+    while it is runnable, rotate to the next runnable tid (wrapping) once
+    it has been picked [fairness_window] times in a row (default [64]). *)
 
 val observed : exploration -> (string -> bool) -> bool
 (** Did any schedule produce an outcome satisfying the predicate? *)

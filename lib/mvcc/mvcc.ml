@@ -42,7 +42,7 @@ let installer_ring = 256
 type t = {
   gvc : Gvc.t;  (* the commit clock — shared with the rest of the system *)
   max_versions : int;  (* chain bound, current version included *)
-  active : (int, int) Hashtbl.t;  (* snapshot ts -> live-transaction count *)
+  active : int Int_tbl.t;  (* snapshot ts -> live-transaction count *)
   inst_ts : int array;  (* ring slot -> timestamp, -1 = empty *)
   inst_txid : int array;  (* installing txid, -1 = non-transactional *)
   inst_tid : int array;  (* installing thread *)
@@ -56,7 +56,7 @@ let create ?gvc ?(max_versions = default_max_versions) () =
   {
     gvc = (match gvc with Some g -> g | None -> Gvc.create ());
     max_versions;
-    active = Hashtbl.create 32;
+    active = Int_tbl.create 32;
     inst_ts = Array.make installer_ring (-1);
     inst_txid = Array.make installer_ring (-1);
     inst_tid = Array.make installer_ring (-1);
@@ -76,24 +76,25 @@ let advance t = Gvc.advance t.gvc
 let begin_snapshot t =
   Footprint.write Footprint.oid_mvcc;
   let ts = Gvc.now t.gvc in
-  Hashtbl.replace t.active ts
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.active ts));
+  Int_tbl.replace t.active ts
+    (1 + Option.value ~default:0 (Int_tbl.find_opt t.active ts));
   ts
 
 let end_snapshot t ts =
   Footprint.write Footprint.oid_mvcc;
-  match Hashtbl.find_opt t.active ts with
-  | Some 1 -> Hashtbl.remove t.active ts
-  | Some n -> Hashtbl.replace t.active ts (n - 1)
+  match Int_tbl.find_opt t.active ts with
+  | Some 1 -> Int_tbl.remove t.active ts
+  | Some n -> Int_tbl.replace t.active ts (n - 1)
   | None -> ()
 
 (* The oldest snapshot any live transaction still reads at; when no
    transaction is live, the clock itself - every retired version is then
    unreachable. Live-transaction counts are small (one per simulated
-   thread), so the fold is cheap. *)
+   thread), so the fold is cheap; a minimum does not depend on the
+   table's iteration order. *)
 let oldest_active t =
   Footprint.read Footprint.oid_mvcc;
-  Hashtbl.fold (fun ts _ acc -> min ts acc) t.active (Gvc.now t.gvc)
+  Int_tbl.fold (fun ts _ acc -> min ts acc) t.active (Gvc.now t.gvc)
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)

@@ -202,6 +202,30 @@ let sched_yield_random () =
          in
          List.iter Sched.join ts))
 
+(* The same three threads under the explorers' stay-then-rotate
+   [Controlled] chooser, with a fairness window of 8 so that about one
+   decision in eight switches threads (in the litmus enumeration 84% of
+   the decisions re-pick the yielding thread):
+   the callback answering the yielding thread on the yield's fast path,
+   and the parked answer consumed by the pick after the effect. *)
+let sched_yield_controlled () =
+  let open Stm_runtime in
+  ignore
+    (Sched.run
+       ~policy:
+         (Sched.Controlled
+            (Stm_litmus.Explorer.default_chooser ~fairness_window:8 ()))
+       (fun () ->
+         let ts =
+           List.init 3 (fun _ ->
+               Sched.spawn (fun () ->
+                   for _ = 1 to 64 do
+                     Sched.yield ();
+                     Sched.pause 40
+                   done))
+         in
+         List.iter Sched.join ts))
+
 (* The serializability oracle alone ([History.check]: conflict graph,
    final state, sequential replay) over the histories of six programs x
    two schedules of the first clean campaign, collected once. *)
@@ -296,6 +320,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("fig18/tsp-4t", fig18_tsp);
     ("fuzz/clean-campaign", fuzz_campaign);
     ("sched/yield-random", sched_yield_random);
+    ("sched/yield-controlled", sched_yield_controlled);
     ("oracle/check", oracle_check);
     ("diag/churn-off", diag_churn cfg);
     ("diag/churn-on", diag_churn_on cfg);

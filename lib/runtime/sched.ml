@@ -54,8 +54,17 @@ type engine = {
   policy : policy;
   rng : Det_rng.t option;
   mutable parked : int;
-      (* Random: the pick index a yield's fast path drew for the pick it
-         then handed to [loop], -1 when none is pending *)
+      (* the answer a yield's fast path obtained for the pick it then
+         handed to [loop] ([Random]: the pick index; [Controlled]: the
+         chosen tid), -1 when none is pending *)
+  mutable ready : tid list;
+      (* Controlled: the ascending ready list the next yield of the
+         current thread would pass its callback (the runnable tids plus
+         the yielding thread), valid while [ready_ok] *)
+  mutable ready_ok : bool;
+      (* cleared by every change of the runnable set or of the current
+         thread - a plain store, where clearing the list itself would
+         cost a [caml_modify] on every policy's switch path *)
   mutable rr_cursor : int;
   mutable steps : int;
   max_steps : int;
@@ -136,6 +145,7 @@ let heap_pop e =
 let make_runnable e t =
   t.state <- Runnable;
   e.nrunnable <- e.nrunnable + 1;
+  e.ready_ok <- false;
   match e.policy with Min_clock -> heap_push e t | _ -> ()
 
 (* Rebuild the heap from scratch (after [rebase] rewrites the keys). *)
@@ -179,6 +189,7 @@ let new_thread e name body =
    [Suspend] right after registering, so they are [Suspended] here). *)
 let finish e t =
   t.state <- Done;
+  e.ready_ok <- false;
   List.iter
     (fun jid ->
       let j = thread_of e jid in
@@ -204,6 +215,7 @@ let start_body e t body =
     Some
       (fun (k : (unit, unit) continuation) ->
         t.state <- Suspended;
+        e.ready_ok <- false;
         t.cont <- Some k)
   in
   match_with body ()
@@ -221,11 +233,12 @@ let start_body e t body =
           | _ -> None);
     }
 
-(* Ascending list of runnable tids (the [Controlled] callback contract). *)
-let runnables e =
+(* Ascending list of the runnable tids and [also] (-1 for none): the
+   [Controlled] callback contract. *)
+let ready_tids e ~also =
   let acc = ref [] in
   for tid = e.nthreads - 1 downto 0 do
-    if e.by_tid.(tid).state = Runnable then acc := tid :: !acc
+    if tid = also || e.by_tid.(tid).state = Runnable then acc := tid :: !acc
   done;
   !acc
 
@@ -267,11 +280,14 @@ let pick e =
         Some (kth_runnable e k 0)
     | Min_clock -> Some (heap_pop e)
     | Controlled choose ->
-        let ready = runnables e in
-        let tid = choose e.current.tid ready in
-        if not (List.mem tid ready) then
-          invalid_arg "Sched.Controlled: chose a non-runnable thread";
-        Some (thread_of e tid)
+        let tid =
+          if e.parked >= 0 then e.parked
+          else choose e.current.tid (ready_tids e ~also:(-1))
+        in
+        e.parked <- -1;
+        if tid < 0 || tid >= e.nthreads || e.by_tid.(tid).state <> Runnable
+        then invalid_arg "Sched.Controlled: chose a non-runnable thread";
+        Some e.by_tid.(tid)
 
 let rec loop e =
   if e.steps >= e.max_steps then e.fuel_out <- true
@@ -281,6 +297,7 @@ let rec loop e =
     | Some t ->
         e.steps <- e.steps + 1;
         e.current <- t;
+        e.ready_ok <- false;
         t.state <- Running;
         e.nrunnable <- e.nrunnable - 1;
         (match t.starter with
@@ -320,6 +337,8 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       policy;
       rng;
       parked = -1;
+      ready = [];
+      ready_ok = false;
       rr_cursor = -1;
       steps = 0;
       max_steps;
@@ -364,6 +383,16 @@ let runnable_below e tid =
   done;
   !n
 
+(* The ready list a yield of the running thread hands the [Controlled]
+   callback: what the slow path's pick computes once the handler has
+   re-enqueued the yielding thread. *)
+let yield_ready e =
+  if not e.ready_ok then begin
+    e.ready <- ready_tids e ~also:e.current.tid;
+    e.ready_ok <- true
+  end;
+  e.ready
+
 (* Would the scheduler, right now, hand the CPU straight back to the
    yielding thread? The fast path then only has to count the scheduling
    decision, and must not run when the fuel check at the top of [loop]
@@ -379,8 +408,17 @@ let runnable_below e tid =
      consumes the parked index instead of drawing, so the RNG stream,
      the picks, the switch count and the fuel boundary are the slow
      path's.
-   [Round_robin] and [Controlled] always take the slow path: their picks
-   advance a cursor or are explorer choice points. *)
+   - [Controlled]: the fast path asks the callback itself, once, with
+     the slow path's arguments: the current tid and [yield_ready]. An
+     answer naming the current thread is the slow path's re-pick. Any
+     other answer is parked and the effect performed; [pick] validates
+     and consumes it instead of asking again, so a non-runnable answer
+     still raises out of [run], not into the yielding thread. Between
+     the effect and that pick only the re-enqueue runs, so the decision
+     happens where it always did: inside the yield, before the thread
+     continues.
+   [Round_robin] always takes the slow path: its pick advances a
+   cursor. *)
 let repicks_current e =
   e.steps < e.max_steps
   &&
@@ -393,7 +431,15 @@ let repicks_current e =
         e.parked <- k;
         false
       end
-  | Round_robin | Controlled _ -> false
+  | Controlled choose ->
+      let tid = choose e.current.tid (yield_ready e) in
+      tid = e.current.tid
+      || begin
+           (* a negative answer parks out of range, for [pick] to reject *)
+           e.parked <- (if tid < 0 then max_int else tid);
+           false
+         end
+  | Round_robin -> false
 
 let yield_engine e =
   if repicks_current e then e.steps <- e.steps + 1 else perform Yield

@@ -28,7 +28,11 @@ type policy =
   | Controlled of (tid -> tid list -> tid)
       (** [choose current runnables] picks the next thread to run;
           [runnables] is sorted and non-empty, [current] is the thread that
-          just yielded (it may or may not be in [runnables]). *)
+          just yielded (it may or may not be in [runnables]). Consecutive
+          decisions taken while the runnable set is unchanged may be
+          passed the same (physically equal) list. At a {!yield} the
+          callback runs inside the yielding thread, so it must not raise
+          or call into the scheduler. *)
 
 type status = Completed | Deadlock of tid list | Fuel_exhausted
 
@@ -64,7 +68,11 @@ val yield : unit -> unit
     thread again returns without a context switch, but still counts as
     one scheduling decision in [switches] and against [max_steps]; under
     {!Random} it makes the pick's RNG draw itself, so the seeded pick
-    sequence is unchanged. *)
+    sequence is unchanged. Under {!Controlled} the yield asks the
+    callback itself, exactly once per decision and with the arguments
+    the pick would pass; an answer naming the yielding thread returns at
+    once, any other is handed to the pick unchanged (a non-runnable one
+    still makes {!run} raise [Invalid_argument]). *)
 
 val self : unit -> tid
 

@@ -755,11 +755,74 @@ let quiesce_does_not_fix_mi_rw () =
   check_bool "MI(4a) still observable under quiescence" true
     cell.Matrix.observed
 
+(* The certification digest: every Figure 6 row under the five Figure 6
+   modes, plus the heaviest enumeration cell (long-fork/weak-lazy) and a
+   quiescence cell, certified by both engines at bound 2. Each cell's
+   verdicts, run counts, truncation, completeness and race count must
+   match its line in the benchmark's reference
+   ([perfbench/ref/dpor-certify.ref], which stays the single record; the
+   line format is the benchmark's). *)
+let digest_ref = "../perfbench/ref/dpor-certify.ref"
+
+let digest_cells () =
+  List.concat_map
+    (fun p -> List.map (fun m -> (p, m)) Modes.all_fig6)
+    Programs.fig6_rows
+  @ [
+      (Programs.long_fork, Modes.Weak Stm_core.Config.Lazy);
+      (Programs.privatization, Modes.Weak_quiesce Stm_core.Config.Lazy);
+    ]
+
+(* "name/mode/bN" -> the checked output, from "NNN:name/mode/bN<TAB>..." *)
+let read_digest_ref () =
+  In_channel.with_open_text digest_ref In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char '\t' line with
+         | [ uid; checked ] when String.length uid > 4 && uid.[3] = ':' ->
+             Some (String.sub uid 4 (String.length uid - 4), checked)
+         | _ -> None)
+
+let digest_line (c : Matrix.certified) =
+  let yn b = if b then "yes" else "no" in
+  let e = c.Matrix.enum and d = c.Matrix.dpor in
+  Printf.sprintf "expected=%s enum=%s/%d%s dpor=%s/%d%s complete=%b races=%d"
+    (yn e.Matrix.expected) (yn e.Matrix.observed) e.Matrix.runs
+    (if e.Matrix.truncated then "/truncated" else "")
+    (yn d.Matrix.observed) d.Matrix.runs
+    (if d.Matrix.truncated then "/truncated" else "")
+    c.Matrix.complete c.Matrix.races
+
+let matrix_digest () =
+  let reference = read_digest_ref () in
+  let cells = digest_cells () in
+  Alcotest.(check int) "cells" 47 (List.length cells);
+  let mismatches =
+    List.filter_map
+      (fun (p, mode) ->
+        let key = Printf.sprintf "%s/%s/b2" p.Programs.name (Modes.name mode) in
+        let got = digest_line (Matrix.certify_cell ~preemption_bound:2 p mode) in
+        match List.assoc_opt key reference with
+        | Some want when want = got -> None
+        | Some want -> Some (Printf.sprintf "%s: want %s, got %s" key want got)
+        | None -> Some (key ^ ": no reference line"))
+      cells
+  in
+  if mismatches <> [] then
+    Alcotest.failf "%d of %d cells differ from %s:\n%s" (List.length mismatches)
+      (List.length cells) digest_ref
+      (String.concat "\n" mismatches)
+
 let suite =
   suite
   @ [
       ("litmus:pct", pct_cases);
       ("litmus:dpor", dpor_cases);
+      ( "litmus:matrix-digest",
+        [
+          Alcotest.test_case "fig6 x fig6 modes, long-fork, quiesce-lazy"
+            `Quick matrix_digest;
+        ] );
       ( "litmus:quiesce-limits",
         [
           Alcotest.test_case "quiescence does not fix mi-rw" `Quick

@@ -300,6 +300,69 @@ let debug_guard_no_alloc () =
       check_bool (p.gname ^ ": Debug payloads are built") true (debug > off))
     guarded_paths
 
+(* ------------------------------------------------------------------ *)
+(* Info payloads are never built without a sink                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated per call of the operation [mk ()] builds, over [n]
+   calls inside a simulation, under [sink] (none, or an Info sink that
+   adds each delivered event's size to [payload]). Read with the exact
+   [Metrics.host_words] counter, net of what a reading allocates
+   ([Perf.alloc_words_of]). *)
+let info_words ~cfg ~n ~sink mk =
+  let words = ref 0. in
+  let payload = ref 0 in
+  let _ =
+    Stm.run ~cfg (fun () ->
+        let op = mk () in
+        op ();
+        if sink then
+          Trace.set_sink ~level:Trace.Info
+            (Some (fun ev -> payload := !payload + Obj.size (Obj.repr ev) + 1));
+        Fun.protect
+          ~finally:(fun () -> Trace.set_sink None)
+          (fun () ->
+            payload := 0;
+            words :=
+              Stm_perf.Perf.alloc_words_of (fun () ->
+                  for _ = 1 to n do
+                    op ()
+                  done)))
+  in
+  (* [alloc_words_of] runs the loop twice (a warm-up, then the count) *)
+  (!words /. float n, float !payload /. float (2 * n))
+
+(* The lifecycle and conflict sites are guarded by [Trace.enabled ()]:
+   with no sink they build nothing, and with one they cost exactly their
+   delivered payloads. A conflict's back-off allocates nothing else, so
+   it shows the 0 directly. Begin/commit and abort/retry also allocate
+   contention-manager slots, registry cells and a pool cell; those
+   words are pinned, so that a payload or [lazy] closure built without
+   a sink (as the unguarded sites did: 64 and 36 words) shows up as a
+   changed count. *)
+let info_guard_no_alloc () =
+  let cfg = { Config.eager_strong with Config.cost = Cost.free } in
+  let n = 1000 in
+  let check name ~expected mk =
+    let off, none = info_words ~cfg ~n ~sink:false mk in
+    let on, payload = info_words ~cfg ~n ~sink:true mk in
+    Alcotest.(check (float 0.)) (name ^ ": no sink, nothing delivered") 0. none;
+    check_bool (name ^ ": Info events arrive") true (payload > 0.);
+    Alcotest.(check (float 0.))
+      (name ^ ": a sink costs exactly its payloads") (off +. payload) on;
+    Alcotest.(check (float 0.)) (name ^ ": words per op, no sink") expected off
+  in
+  check "conflict" ~expected:0. (fun () ->
+      let obj = Stm.alloc_public ~cls:"C" 1 in
+      let stats = Stats.create () in
+      fun () -> Conflict.handle cfg stats ~attempt:0 ~writer:true obj);
+  check "begin/commit" ~expected:52. (fun () ->
+      let ctx = Txn.make_ctx cfg in
+      fun () -> Txn.commit ctx (Txn.begin_txn ctx));
+  check "abort/retry" ~expected:20. (fun () ->
+      let ctx = Txn.make_ctx cfg in
+      fun () -> Txn.abort ~restart:true ctx (Txn.begin_txn ctx))
+
 (* The perf harness's allocation counter is exact: probes of known size,
    on the minor heap and directly on the major heap, read their size on
    every one of many calls, across many minor collections. *)
@@ -638,6 +701,7 @@ let suite =
       [
         case "info sink never forces debug payloads" level_filter_no_force;
         case "no Debug payload allocated below Debug" debug_guard_no_alloc;
+        case "no Info payload allocated without a sink" info_guard_no_alloc;
       ] );
     ( "obs:perf",
       [ case "allocation counter is exact" perf_alloc_counter_exact ] );

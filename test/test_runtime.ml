@@ -771,6 +771,235 @@ let fast_random_fuel_boundary () =
     [ ""; "1"; "12"; "121"; "121012"; "1210120120101222001" ]
     got
 
+(* ------------------------------------------------------------------ *)
+(* Int_tbl: the int-keyed tables of the STM's conflict path            *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys that differ only above the bucket mask must still spread: the
+   write buffer's packed (oid, granule) keys are [oid lsl 26 lor base],
+   so with an identity hash every granule-0 key shares one bucket. *)
+let int_tbl_spreads_high_keys () =
+  List.iter
+    (fun (name, key) ->
+      let t = Int_tbl.create 16 in
+      for i = 0 to 999 do
+        Int_tbl.replace t (key i) i
+      done;
+      check_int (name ^ ": all present") 1000 (Int_tbl.length t);
+      for i = 0 to 999 do
+        check_int (name ^ ": lookup") i (Int_tbl.find t (key i))
+      done;
+      let st = Int_tbl.stats t in
+      check_bool
+        (Printf.sprintf "%s: longest bucket %d of %d" name
+           st.Hashtbl.max_bucket_length st.Hashtbl.num_buckets)
+        true
+        (st.Hashtbl.max_bucket_length <= 8))
+    [
+      ("granule-0 keys", fun i -> i lsl 26);
+      ("packed keys", fun i -> (i lsl 26) lor (i mod 4));
+      ("small ints", fun i -> i);
+      ("negative pseudo-oids", fun i -> -(1 lsl 24) - i);
+    ]
+
+let suite =
+  suite
+  @ [
+      ( "runtime:int-tbl",
+        [ case "high-bit keys spread over the buckets" int_tbl_spreads_high_keys ]
+      );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Controlled yields: the explorer's callback decides on the fast path *)
+(* ------------------------------------------------------------------ *)
+
+(* The explorers' default chooser: stay on the current thread while it
+   is runnable, rotate to the next runnable tid once it has been picked
+   [window] times in a row. *)
+let stay_then_rotate window =
+  let last = ref (-1) and streak = ref 0 in
+  fun cur ready ->
+    let pick =
+      if List.mem cur ready then
+        if !last = cur && !streak >= window then
+          match List.find_opt (fun t -> t > cur) ready with
+          | Some t -> t
+          | None -> List.hd ready
+        else cur
+      else List.hd ready
+    in
+    if pick = !last then incr streak
+    else begin
+      last := pick;
+      streak := 1
+    end;
+    pick
+
+let always_switch cur ready =
+  match List.find_opt (fun t -> t > cur) ready with
+  | Some t -> t
+  | None -> List.hd ready
+
+let scripted_chooser () =
+  let script = [| 2; 0; 1; 1; 3; 2; 2; 2; 1; 3; 0; 3; 3; 1; 2 |] in
+  let i = ref 0 in
+  fun _cur ready ->
+    let s = script.(!i mod Array.length script) in
+    incr i;
+    if List.mem s ready then s else List.hd ready
+
+(* Run [body] under [choose], logging every callback call as
+   "current:ready>answer". *)
+let logged_controlled ?max_steps choose body =
+  let log = ref [] in
+  let choose cur ready =
+    let a = choose cur ready in
+    log :=
+      Printf.sprintf "%d:%s>%d" cur
+        (String.concat "," (List.map string_of_int ready))
+        a
+      :: !log;
+    a
+  in
+  let r = Sched.run ?max_steps ~policy:(Sched.Controlled choose) body in
+  (List.rev !log, r)
+
+(* Yields, a two-quantum pause, a zero pause, joins on live threads and
+   a suspend/wake pair. *)
+let controlled_mixed_body () =
+  let asleep = ref false in
+  let sleeper =
+    Sched.spawn (fun () ->
+        asleep := true;
+        Sched.suspend ();
+        Sched.pause 7;
+        Sched.tick 3)
+  in
+  let ts =
+    List.init 3 (fun i ->
+        Sched.spawn (fun () ->
+            for j = 1 to 3 do
+              Sched.tick (i + 1);
+              Sched.yield ();
+              if j = 2 then Sched.pause (5 * (i + 1))
+            done;
+            if i = 1 then begin
+              while not !asleep do
+                Sched.yield ()
+              done;
+              Sched.wake sleeper
+            end;
+            Sched.pause 0))
+  in
+  List.iter Sched.join ts;
+  Sched.join sleeper
+
+let controlled_spin_body () =
+  let ts =
+    List.init 3 (fun i ->
+        Sched.spawn (fun () ->
+            while true do
+              Sched.tick (i + 1);
+              Sched.yield ();
+              Sched.pause 2
+            done))
+  in
+  List.iter Sched.join ts
+
+let check_controlled name (log, r) ~expected ~switches ~makespan ~status =
+  Alcotest.(check (list string)) (name ^ ": callback log") expected log;
+  check_int (name ^ ": switches") switches r.Sched.switches;
+  check_int (name ^ ": makespan") makespan r.Sched.makespan;
+  check_bool (name ^ ": status") true (r.Sched.status = status)
+
+(* The expected logs were recorded from a scheduler that performs every
+   [Controlled] yield as an effect round trip and calls the callback in
+   its pick: the fast path must call it exactly once per decision, with
+   the same arguments, and act on the same answers. *)
+let fast_controlled_stay_rotate () =
+  check_controlled "stay-then-rotate"
+    (logged_controlled (stay_then_rotate 2) controlled_mixed_body)
+    ~expected:
+      [
+        "0:0>0"; "0:1,2,3,4>1"; "1:2,3,4>2"; "2:2,3,4>2"; "2:2,3,4>3";
+        "3:2,3,4>3"; "3:2,3,4>4"; "4:2,3,4>4"; "4:2,3,4>2"; "2:2,3,4>2";
+        "2:2,3,4>3"; "3:2,3,4>3"; "3:2,3,4>4"; "4:2,3,4>4"; "4:2,3,4>2";
+        "2:2,3,4>2"; "2:0,3,4>0"; "0:3,4>3"; "3:1,3,4>3"; "3:0,1,4>0";
+        "0:1,4>1"; "1:1,4>1"; "1:4>4"; "4:4>4"; "4:0>0";
+      ]
+    ~switches:25 ~makespan:26 ~status:Sched.Completed
+
+let fast_controlled_always_switch () =
+  check_controlled "always-switch"
+    (logged_controlled always_switch controlled_mixed_body)
+    ~expected:
+      [
+        "0:0>0"; "0:1,2,3,4>1"; "1:2,3,4>2"; "2:2,3,4>3"; "3:2,3,4>4";
+        "4:2,3,4>2"; "2:2,3,4>3"; "3:2,3,4>4"; "4:2,3,4>2"; "2:2,3,4>3";
+        "3:2,3,4>4"; "4:2,3,4>2"; "2:2,3,4>3"; "3:2,3,4>4"; "4:2,3,4>2";
+        "2:2,3,4>3"; "3:1,2,3,4>4"; "4:1,2,3,4>1"; "1:1,2,3,4>2";
+        "2:0,1,3,4>3"; "3:0,1,4>4"; "4:0,1>0"; "0:1>1"; "1:0>0";
+      ]
+    ~switches:24 ~makespan:26 ~status:Sched.Completed
+
+(* Cut at a first decision, two switching decisions and a staying one:
+   the callback is never asked past [max_steps]. *)
+let fast_controlled_fuel_boundary () =
+  let full =
+    [
+      "0:0>0"; "0:1,2,3>1"; "1:1,2,3>1"; "1:1,2,3>1"; "1:1,2,3>3"; "3:1,2,3>2";
+      "2:1,2,3>2"; "2:1,2,3>2"; "2:1,2,3>1"; "1:1,2,3>3"; "3:1,2,3>1";
+      "1:1,2,3>3"; "3:1,2,3>3"; "3:1,2,3>1"; "1:1,2,3>2"; "2:1,2,3>2";
+      "2:1,2,3>1"; "1:1,2,3>1"; "1:1,2,3>1"; "1:1,2,3>3"; "3:1,2,3>2";
+      "2:1,2,3>2"; "2:1,2,3>2"; "2:1,2,3>1"; "1:1,2,3>3"; "3:1,2,3>1";
+      "1:1,2,3>3"; "3:1,2,3>3"; "3:1,2,3>1";
+    ]
+  in
+  List.iter
+    (fun (k, makespan) ->
+      check_controlled
+        (Printf.sprintf "fuel %d" k)
+        (logged_controlled ~max_steps:k (scripted_chooser ())
+           controlled_spin_body)
+        ~expected:(List.filteri (fun i _ -> i < k) full)
+        ~switches:k ~makespan ~status:Sched.Fuel_exhausted)
+    [ (1, 0); (6, 4); (13, 10); (29, 20) ]
+
+(* A non-runnable answer is the caller's bug, reported out of
+   [Sched.run] - not recorded as an exception of the yielding thread -
+   whether it comes at a yield or at a pick after a thread blocked. *)
+let fast_controlled_bad_answer () =
+  let bad_at n answer =
+    let calls = ref 0 in
+    let choose cur ready =
+      incr calls;
+      if !calls = n then answer else if List.mem cur ready then cur else List.hd ready
+    in
+    match
+      Sched.run ~policy:(Sched.Controlled choose) (fun () ->
+          let t =
+            Sched.spawn (fun () ->
+                Sched.yield ();
+                Sched.yield ())
+          in
+          Sched.yield ();
+          Sched.join t)
+    with
+    | exception Invalid_argument _ ->
+        check_bool "engine released" false (Sched.running ());
+        check_int (Printf.sprintf "decision %d: callback calls" n) n !calls
+    | r ->
+        Alcotest.failf "decision %d answered %d: run returned (%d exns)" n
+          answer (List.length r.Sched.exns)
+  in
+  (* 2: main's yield (fast path), 3: after main blocks in [join] (the
+     pick), 4: the spawned thread's yield; main is suspended there *)
+  bad_at 2 99;
+  bad_at 2 (-1);
+  bad_at 3 0;
+  bad_at 4 0
+
 let suite =
   suite
   @ [
@@ -786,5 +1015,13 @@ let suite =
             fast_random_pause_join_suspend;
           case "random: fuel boundary after a fast-path draw"
             fast_random_fuel_boundary;
+          case "controlled: stay-then-rotate log unchanged"
+            fast_controlled_stay_rotate;
+          case "controlled: always-switch log unchanged"
+            fast_controlled_always_switch;
+          case "controlled: fuel boundaries unchanged"
+            fast_controlled_fuel_boundary;
+          case "controlled: non-runnable answer raises out of run"
+            fast_controlled_bad_answer;
         ] );
     ]
